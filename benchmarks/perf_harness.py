@@ -4,14 +4,12 @@ Produces two machine-readable artefacts (median-of-N wall-clock numbers
 plus the observability layer's own ``stage1.mwis_solve_s`` timer totals):
 
 * ``BENCH_kernels.json`` -- Stage I (deferred acceptance) on the
-  ``bench_scalability`` large market, three ways: the batched SoA fast
-  path (the default), the scalar bitset kernels
-  (``SPECTRUM_BATCH_STAGE1=0``), and the set-based reference path
-  (``SPECTRUM_FAST_KERNELS=0``), including a check that all three
-  produced the identical matching.  ``speedup`` stays
-  reference-vs-fast (the ratio the perf gate guards);
-  ``batch_speedup`` isolates the SoA batching win over the scalar
-  kernels.
+  ``bench_scalability`` large market, two ways: the batched SoA fast
+  path (the default) and the set-based reference (the per-seller loop
+  over the set-based MWIS solvers, reached by patching module state for
+  the duration of the run), including a check that both produced the
+  identical matching.  ``speedup`` is reference-vs-fast (the ratio the
+  perf gate guards).
 * ``BENCH_sweep.json`` -- a Fig. 7-style sweep run serially vs through
   the parallel runner, proving the ``--jobs`` path and recording its
   overhead/speedup on this machine.
@@ -37,20 +35,22 @@ against the baselines and fails on regressions.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import platform
 import statistics
 import time
 from typing import Callable, Dict, List, Optional, Tuple
+from unittest import mock
 
 import numpy as np
 
+import repro.core.soa as soa
+import repro.interference.mwis as mwis
 from repro.analysis.experiments import SweepAxis, stage_breakdown_series
 from repro.core.deferred_acceptance import deferred_acceptance
-from repro.core.soa import BATCH_STAGE1_ENV
 from repro.core.two_stage import run_two_stage
 from repro.engine import get_solver
-from repro.interference.bitset import FAST_KERNELS_ENV
 from repro.ioutil import append_jsonl, atomic_write_json
 from repro.obs import MetricsRegistry, Recorder, use_recorder
 from repro.obs.spans import SpanTracer
@@ -111,8 +111,26 @@ def _stats_block(times: List[float]) -> Dict[str, object]:
     }
 
 
+@contextlib.contextmanager
+def _set_based_reference():
+    """Run the block on the set-based reference Stage I.
+
+    Same patch as the test suite's ``set_based_oracle``: the per-seller
+    loop instead of the batched SoA path, and the set-based GWMIN/GWMIN2
+    loops instead of the bitmask kernels.
+    """
+    with mock.patch.object(soa, "BATCHED_ALGORITHMS", ()), mock.patch.dict(
+        mwis._DISPATCH,
+        {
+            mwis.MwisAlgorithm.GWMIN: mwis._reference_gwmin,
+            mwis.MwisAlgorithm.GWMIN2: mwis._reference_gwmin2,
+        },
+    ):
+        yield
+
+
 def _stage1_once(
-    market, fast: bool, batched: bool = True
+    market, fast: bool
 ) -> Tuple[object, float, List[Dict[str, object]], Dict[str, int]]:
     """One recorded Stage-I run.
 
@@ -121,17 +139,12 @@ def _stage1_once(
     what ``compare_perf.py``'s attribution diff consumes to tell
     "algorithm changed" apart from "machine was slow".
     """
-    os.environ[FAST_KERNELS_ENV] = "1" if fast else "0"
-    os.environ[BATCH_STAGE1_ENV] = "1" if batched else "0"
     registry = MetricsRegistry()
     tracer = SpanTracer()
     reset_cost_counters()
-    try:
-        with use_recorder(Recorder(metrics=registry, spans=tracer)):
-            result = deferred_acceptance(market, record_trace=False)
-    finally:
-        os.environ.pop(FAST_KERNELS_ENV, None)
-        os.environ.pop(BATCH_STAGE1_ENV, None)
+    path = contextlib.nullcontext() if fast else _set_based_reference()
+    with path, use_recorder(Recorder(metrics=registry, spans=tracer)):
+        result = deferred_acceptance(market, record_trace=False)
     counters = {
         name: value
         for name, value in snapshot_cost_counters().items()
@@ -150,32 +163,24 @@ def _coalitions(market, result) -> Dict[int, Tuple[int, ...]]:
 
 
 def bench_kernels(quick: bool, runs: int) -> Dict[str, object]:
-    """Stage I batched-vs-scalar-vs-reference on the scalability market."""
+    """Stage I fast-vs-reference on the scalability market."""
     params = QUICK_MARKET if quick else FULL_MARKET
     market = _build_market(params)
     sides: Dict[str, Dict[str, object]] = {}
     matchings = {}
-    for label, fast, batched in (
-        ("fast", True, True),
-        ("scalar", True, False),
-        ("reference", False, True),
-    ):
+    for label, fast in (("fast", True), ("reference", False)):
         mwis_totals: List[float] = []
         span_tables: List[List[Dict[str, object]]] = []
         counter_snaps: List[Dict[str, int]] = []
-        results: List[object] = []
 
         def run_once() -> object:
-            result, mwis_s, spans, counters = _stage1_once(
-                market, fast, batched
-            )
+            result, mwis_s, spans, counters = _stage1_once(market, fast)
             mwis_totals.append(mwis_s)
             span_tables.append(spans)
             counter_snaps.append(counters)
             return result
 
-        times, outputs = _timed_runs(run_once, runs)
-        results = outputs
+        times, results = _timed_runs(run_once, runs)
         matchings[label] = _coalitions(market, results[0])
         # The deterministic counters must agree across same-input runs;
         # record the first snapshot and surface any disagreement rather
@@ -196,18 +201,11 @@ def bench_kernels(quick: bool, runs: int) -> Dict[str, object]:
         "runs": runs,
         "market": params,
         "fast": sides["fast"],
-        "scalar": sides["scalar"],
         "reference": sides["reference"],
         "speedup": (
             sides["reference"]["median_s"] / fast_median if fast_median else 0.0
         ),
-        "batch_speedup": (
-            sides["scalar"]["median_s"] / fast_median if fast_median else 0.0
-        ),
-        "identical_matching": (
-            matchings["fast"] == matchings["reference"]
-            and matchings["fast"] == matchings["scalar"]
-        ),
+        "identical_matching": matchings["fast"] == matchings["reference"],
     }
 
 

@@ -42,8 +42,7 @@ __all__ = [
     "stage1_variant_series",
 ]
 
-#: Registry name of the benchmark solver historically selected by
-#: ``use_bruteforce=False`` (the default exact backend for Fig. 6).
+#: Registry name of the default exact benchmark solver for Fig. 6.
 DEFAULT_OPTIMAL_SOLVER = "branch_and_bound"
 
 
@@ -239,25 +238,6 @@ def _run_tasks(
     return results
 
 
-def _resolve_optimal_solver(
-    solver: Optional[str], use_bruteforce: Optional[bool]
-) -> str:
-    """Fold the deprecated ``use_bruteforce`` flag into a registry name.
-
-    Delegates to :meth:`repro.run.spec.EngineSpec.from_use_bruteforce`
-    so the deprecation warning, the conflict diagnostic and the mapping
-    live in exactly one place (the CLI's ``repro run`` path shares it).
-    """
-    from repro.run.spec import EngineSpec
-
-    return EngineSpec.from_use_bruteforce(
-        use_bruteforce,
-        solver=solver,
-        default=DEFAULT_OPTIMAL_SOLVER,
-        stacklevel=4,
-    ).name
-
-
 def optimal_comparison_series(
     axis: SweepAxis,
     values: Sequence[float],
@@ -265,7 +245,6 @@ def optimal_comparison_series(
     num_channels: Optional[int] = None,
     repetitions: int = 50,
     seed: int = 0,
-    use_bruteforce: Optional[bool] = None,
     jobs: Optional[int] = None,
     solver: Optional[str] = None,
 ) -> List[ExperimentRow]:
@@ -285,10 +264,6 @@ def optimal_comparison_series(
         Monte-Carlo repetitions per point.
     seed:
         Base seed (see module docstring for the derivation scheme).
-    use_bruteforce:
-        Deprecated -- use ``solver=``.  ``True`` meant the paper's
-        footnote-4 enumeration, ``False`` branch and bound; the flag now
-        warns and maps onto the equivalent registry name.
     jobs:
         Worker processes (``None``/1 serial, 0 = all cores).  Results are
         identical for every worker count; see
@@ -298,7 +273,7 @@ def optimal_comparison_series(
         (default ``"branch_and_bound"``; the paper's own method is
         ``"bruteforce"`` -- same answers, slower).
     """
-    benchmark = _resolve_optimal_solver(solver, use_bruteforce)
+    benchmark = solver or DEFAULT_OPTIMAL_SOLVER
     tasks: List[_RepetitionTask] = []
     params: List[tuple] = []
     for value_index, value in enumerate(values):

@@ -35,9 +35,8 @@ results:
   even showed the parallel path *losing* to serial.  Pools are now
   module-owned and reused across calls (same worker count -> same
   processes, verified by the pool tests' pid assertions); a broken pool
-  is discarded and rebuilt, and ``SPECTRUM_PERSISTENT_POOL=0`` restores
-  the per-call behaviour.  :func:`shutdown_pools` (also registered via
-  ``atexit``) tears the cached pool down explicitly.
+  is discarded and rebuilt.  :func:`shutdown_pools` (also registered
+  via ``atexit``) tears the cached pool down explicitly.
 * **Shared-memory task inputs.**  ``shared=`` publishes a mapping of
   numpy arrays through :mod:`repro.analysis.shm` exactly once per call;
   workers attach by segment name (cached per process) and the tasks
@@ -76,23 +75,11 @@ from repro.obs.recorder import resolve_recorder
 __all__ = [
     "resolve_jobs",
     "parallel_map",
-    "persistent_pool_enabled",
     "shutdown_pools",
-    "PERSISTENT_POOL_ENV",
 ]
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
-
-#: Set to ``"0"`` to disable pool reuse across :func:`parallel_map`
-#: calls (a fresh pool per call, the historical behaviour).
-PERSISTENT_POOL_ENV = "SPECTRUM_PERSISTENT_POOL"
-
-
-def persistent_pool_enabled() -> bool:
-    """Whether pools are kept alive across ``parallel_map`` calls."""
-    return os.environ.get(PERSISTENT_POOL_ENV, "1") != "0"
-
 
 #: The cached executor and the worker count it was built with.
 _POOL: Optional[ProcessPoolExecutor] = None
@@ -106,8 +93,6 @@ def _acquire_pool(worker_count: int) -> ProcessPoolExecutor:
     for a small task list does not spawn idle processes.
     """
     global _POOL, _POOL_WORKERS
-    if not persistent_pool_enabled():
-        return ProcessPoolExecutor(max_workers=worker_count)
     if _POOL is not None and _POOL_WORKERS != worker_count:
         shutdown_pools()
     if _POOL is None:
@@ -117,7 +102,7 @@ def _acquire_pool(worker_count: int) -> ProcessPoolExecutor:
 
 
 def _discard_pool(pool: ProcessPoolExecutor) -> None:
-    """Drop a pool that broke (or a one-shot pool after use)."""
+    """Drop a pool that broke."""
     global _POOL, _POOL_WORKERS
     if pool is _POOL:
         _POOL, _POOL_WORKERS = None, 0
@@ -180,9 +165,9 @@ def parallel_map(
 
     With ``resolve_jobs(jobs) == 1`` this is a plain in-process loop --
     byte-identical behaviour to the historical serial sweeps, ambient
-    recorder included.  Otherwise items are submitted to a (reused,
-    see :func:`persistent_pool_enabled`) process pool and the results
-    are collected in submission order.
+    recorder included.  Otherwise items are submitted to a process pool
+    reused across calls, and the results are collected in submission
+    order.
 
     ``shared`` maps names to numpy arrays published once per call via
     shared memory; ``fn`` is then called as ``fn(item, arrays)`` where
@@ -278,7 +263,7 @@ def parallel_map(
                             f"parallel sweep worker failed: {exc!r}"
                         ) from exc
             finally:
-                if pool_broken or not persistent_pool_enabled():
+                if pool_broken:
                     _discard_pool(pool)
             if not lost:
                 break

@@ -123,7 +123,12 @@ class SpectrumMarket:
         buyer_owner: Optional[Sequence[int]] = None,
         channel_owner: Optional[Sequence[int]] = None,
     ) -> None:
-        utilities = np.asarray(utilities, dtype=float)
+        try:
+            utilities = np.asarray(utilities, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise MarketConfigurationError(
+                f"utilities must be numeric: {exc}"
+            ) from exc
         if utilities.ndim != 2:
             raise MarketConfigurationError(
                 f"utilities must be a 2-D (N, M) array, got ndim={utilities.ndim}"
@@ -150,7 +155,13 @@ class SpectrumMarket:
         self._utilities = utilities
         self._utilities.setflags(write=False)
         self._interference = interference
-        self._mwis_algorithm = MwisAlgorithm(mwis_algorithm)
+        try:
+            self._mwis_algorithm = MwisAlgorithm(mwis_algorithm)
+        except ValueError as exc:
+            raise MarketConfigurationError(
+                f"unknown MWIS algorithm {mwis_algorithm!r}; expected one of "
+                f"{[a.value for a in MwisAlgorithm]}"
+            ) from exc
         self._buyer_names = self._labels(buyer_names, num_buyers, "b")
         self._channel_names = self._labels(channel_names, num_channels, "ch")
         self._buyer_owner = (

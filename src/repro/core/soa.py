@@ -1,8 +1,8 @@
 """Struct-of-arrays (SoA) Stage I: batched deferred acceptance.
 
-The scalar Stage-I loop in :mod:`repro.core.deferred_acceptance` solves
-each seller's MWIS one at a time in Python.  This module keeps the same
-algorithm but holds the hot state in contiguous numpy arrays -- buyer
+The per-seller Stage-I loop in :mod:`repro.core.deferred_acceptance`
+solves each seller's MWIS one at a time in Python.  This module keeps the
+same algorithm but holds the hot state in contiguous numpy arrays -- buyer
 preference matrices, per-seller packed adjacency rows, waitlist
 membership -- and advances *all* sellers of a proposal round through one
 vectorised score/pick/removal loop.
@@ -30,15 +30,14 @@ not merely equivalently:
   keeps the final selection byte-identical while collapsing sparse
   pools in O(1) iterations.
 
-The path is gated by ``SPECTRUM_FAST_KERNELS`` (shared with the bitset
-kernels) plus its own ``SPECTRUM_BATCH_STAGE1`` escape hatch, and only
-covers the algorithms with batched kernels (GWMIN, GWMIN2); everything
-else falls back to the scalar paths.
+Stage I takes this path whenever the market's MWIS algorithm is in
+:data:`BATCHED_ALGORITHMS` (GWMIN, GWMIN2); every other algorithm runs
+the per-seller loop, which is also the set-based oracle this path is
+differential-tested against.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,19 +50,12 @@ from repro.obs.events import round_to_event
 from repro.obs.recorder import Recorder
 
 __all__ = [
-    "BATCH_STAGE1_ENV",
     "BATCHED_ALGORITHMS",
     "COST_COUNTERS",
     "MarketSoA",
     "SellerPoolCache",
-    "batch_stage1_enabled",
     "batched_deferred_acceptance",
 ]
-
-#: Environment toggle for the batched SoA Stage-I path.  ``"0"`` falls
-#: back to the scalar per-seller kernels; anything else (including
-#: unset) keeps batching on.  Read per call so tests can flip it.
-BATCH_STAGE1_ENV = "SPECTRUM_BATCH_STAGE1"
 
 #: MWIS algorithms with a batched SoA kernel.
 BATCHED_ALGORITHMS = (MwisAlgorithm.GWMIN, MwisAlgorithm.GWMIN2)
@@ -85,11 +77,6 @@ COST_COUNTERS: Dict[str, int] = {
     "soa.cache_departed_ops": 0,
     "soa.cache_arrived_ops": 0,
 }
-
-
-def batch_stage1_enabled() -> bool:
-    """Whether the batched SoA Stage-I path is enabled (default yes)."""
-    return os.environ.get(BATCH_STAGE1_ENV, "1") != "0"
 
 
 if hasattr(np, "bitwise_count"):
@@ -130,8 +117,7 @@ DENSE_POOL_THRESHOLD = 4096
 class SellerPoolCache:
     """Slot-stable packed pool state for one seller's candidate pools.
 
-    The numpy analogue of the scalar ``_SellerMwisCache``: between
-    consecutive rounds a seller's pool changes only by the departed
+    Between consecutive rounds a seller's pool changes only by the departed
     (evicted/rejected) members and the fresh proposers, so the packed
     pool-local adjacency rows are maintained by delta instead of being
     rebuilt from the channel graph every round.
@@ -143,7 +129,7 @@ class SellerPoolCache:
 
     * **dense** (``N <= DENSE_POOL_THRESHOLD``): slots *are* buyer ids.
       Rows live in a fixed ``(N, ceil(N/64))`` table and the update is a
-      direct transcription of the scalar cache's delta formula,
+      direct delta update,
       ``row = (row & ~departed) | (adjacency & arrived)``, on the
       channel graph's packed adjacency matrix -- a few word-wide
       vectorised ops per round.
@@ -256,8 +242,8 @@ class SellerPoolCache:
             arr_words = _mask_words(arrivals, words)
             pool_words |= arr_words
         if remain.size:
-            # The scalar cache's delta formula, one vectorised pass over
-            # the surviving members' rows.
+            # The delta formula, one vectorised pass over the surviving
+            # members' rows.
             if departed.size and arrivals.size:
                 rows[remain] = (rows[remain] & ~dep_words) | (
                     adj[remain] & arr_words
@@ -572,7 +558,7 @@ class MarketSoA:
     buyer's channels by descending utility, stable-tie-broken to the
     smallest channel index, matching ``buyer_preference_order``) and the
     per-seller :class:`SellerPoolCache` pool states, created lazily per
-    channel exactly like the scalar cache dict.
+    channel.
     """
 
     __slots__ = ("market", "pref_order", "pref_len", "scratch", "_caches")
@@ -685,7 +671,7 @@ def batched_deferred_acceptance(
     monotone_guard: bool = True,
     rec: Optional[Recorder] = None,
 ):
-    """SoA-batched Stage I; byte-identical to the scalar implementations.
+    """SoA-batched Stage I; byte-identical to the per-seller loop.
 
     Drives the same round structure as ``_deferred_acceptance_impl`` --
     proposals, per-seller coalition re-formation, evictions/rejections,
@@ -812,7 +798,7 @@ def _proposals_record(
 ) -> Dict[int, Tuple[int, ...]]:
     """Round proposals keyed by channel, in first-proposer order.
 
-    The scalar loop inserts a channel into its proposals dict when the
+    The per-seller loop inserts a channel into its proposals dict when the
     smallest buyer proposing to it is reached, so the dict (and the
     golden trace JSON serialised from it) is ordered by each channel's
     minimum proposer.  ``sorted_prop`` slices are ascending already.
@@ -829,7 +815,7 @@ def _proposals_record(
 def _pairs_record(
     id_arrays: List[np.ndarray], channel_of: List[int]
 ) -> Tuple[Tuple[int, int], ...]:
-    """``(buyer, channel)`` pairs sorted like the scalar trace records.
+    """``(buyer, channel)`` pairs sorted like the per-seller loop's trace records.
 
     A buyer appears at most once per round (evicted from, or rejected
     by, exactly one channel), so sorting by buyer id alone reproduces

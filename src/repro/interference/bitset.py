@@ -29,21 +29,17 @@ reference implementations, which the differential property suite
   goes to the smaller buyer index (the heap key ``(-score, j)`` realises
   exactly that rule).
 
-The kernels are toggled by the ``SPECTRUM_FAST_KERNELS`` environment
-variable (default on; set ``SPECTRUM_FAST_KERNELS=0`` to force the
-set-based reference path everywhere).
+The kernels are the only production path for GWMIN / GWMIN2; the
+set-based loops survive solely as the oracle they are tested against.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 __all__ = [
-    "FAST_KERNELS_ENV",
     "COST_COUNTERS",
-    "fast_kernels_enabled",
     "popcount",
     "mask_of",
     "bits_of",
@@ -64,20 +60,6 @@ COST_COUNTERS: Dict[str, int] = {
     "bitset.heap_push_ops": 0,
     "bitset.mask_and_ops": 0,
 }
-
-#: Environment variable selecting the kernel path.  Anything but the
-#: literal string ``"0"`` (including unset) enables the bitset kernels.
-FAST_KERNELS_ENV = "SPECTRUM_FAST_KERNELS"
-
-
-def fast_kernels_enabled() -> bool:
-    """True unless ``SPECTRUM_FAST_KERNELS=0`` is set in the environment.
-
-    Read per call (not cached at import) so tests and benchmark harnesses
-    can flip the kernel path with ``monkeypatch.setenv`` / subprocess env.
-    """
-    return os.environ.get(FAST_KERNELS_ENV, "1") != "0"
-
 
 try:  # int.bit_count is Python >= 3.10; the package supports 3.9.
     popcount = int.bit_count  # type: ignore[attr-defined]
@@ -181,8 +163,8 @@ def mwis_gwmin_bits(
     pool:
         Candidate nodes in ascending index order.
     induced:
-        ``{j: neighbour mask within pool}`` -- e.g. from
-        :func:`induced_masks` or an incremental Stage-I cache.
+        ``{j: neighbour mask within pool}``, e.g. from
+        :func:`induced_masks`.
     """
     degree = {j: popcount(induced[j]) for j in pool}
     score_of = {j: weights[j] / (degree[j] + 1.0) for j in pool}
@@ -203,7 +185,7 @@ def _gwmin2_score(weight: float, closed: float) -> float:
     A non-positive closed-neighbourhood weight means every weight in it is
     zero (weights are non-negative, bar float cancellation to exactly 0),
     so the choice is welfare-neutral and any deterministic value works;
-    both kernel paths use 0.0.
+    the kernel and the set-based reference both use 0.0.
     """
     if closed <= 0.0:
         return 0.0

@@ -28,13 +28,12 @@ the search to their current candidate pool, and all break ties
 deterministically (strictly-greater score wins, equal scores go to the
 smallest buyer index) so simulation runs are reproducible.
 
-GWMIN and GWMIN2 each have two implementations: the set-based reference
-loops in this module and the bitmask kernels of
-:mod:`repro.interference.bitset`, selected by the ``SPECTRUM_FAST_KERNELS``
-environment variable (on by default; ``SPECTRUM_FAST_KERNELS=0`` forces
-the reference path).  The two paths return identical coalitions -- the
-differential property suite asserts element-for-element equality on
-random graphs -- so the toggle is purely a performance knob.
+GWMIN and GWMIN2 always run on the bitmask kernels of
+:mod:`repro.interference.bitset`.  Their set-based loops are kept as the
+private oracles ``_reference_gwmin`` / ``_reference_gwmin2``: the
+differential property suite asserts element-for-element equality against
+them on random graphs, and tests reach the set-based Stage I by pointing
+``_DISPATCH`` at them for the duration of a call.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional,
 
 from repro.errors import SolverError, SolverLimitExceeded
 from repro.interference.bitset import (
-    fast_kernels_enabled,
     induced_masks,
     mask_of,
     mwis_gwmin2_bits,
@@ -146,7 +144,7 @@ def _greedy_select(
     nodes: Iterable[int],
     score: Callable[[int, Dict[int, Set[int]]], float],
 ) -> List[int]:
-    """Shared set-based select-and-remove loop (GWMIN reference path)."""
+    """Set-based select-and-remove loop (the GWMIN reference oracle)."""
     adjacency = _induced_adjacency(graph, nodes)
     _validate_weights(weights, adjacency)
     chosen: List[int] = []
@@ -188,18 +186,11 @@ def mwis_greedy_gwmin(
 ) -> List[int]:
     """GWMIN greedy MWIS on the subgraph induced by ``nodes``.
 
-    Returns the selected buyers in ascending index order.  Dispatches to
-    the bitmask kernel unless ``SPECTRUM_FAST_KERNELS=0``; both paths
-    return the identical coalition.
+    Returns the selected buyers in ascending index order, computed by the
+    bitmask kernel (identical to the set-based ``_reference_gwmin``).
     """
-    if fast_kernels_enabled():
-        pool, induced = _fast_pool(graph, weights, nodes)
-        return mwis_gwmin_bits(weights, pool, induced)
-
-    def score(j: int, adjacency: Dict[int, Set[int]]) -> float:
-        return weights[j] / (len(adjacency[j]) + 1.0)
-
-    return _greedy_select(graph, weights, nodes, score)
+    pool, induced = _fast_pool(graph, weights, nodes)
+    return mwis_gwmin_bits(weights, pool, induced)
 
 
 def mwis_greedy_gwmin2(
@@ -209,15 +200,34 @@ def mwis_greedy_gwmin2(
 ) -> List[int]:
     """GWMIN2 greedy MWIS (closed-neighbourhood weight ratio scoring).
 
-    Dispatches to the bitmask kernel unless ``SPECTRUM_FAST_KERNELS=0``.
-    Both paths maintain each node's closed-neighbourhood weight with the
-    same floating-point operation sequence (ascending-index initial sum,
-    per-removal decrements), so their outputs are identical coalitions.
+    Computed by the bitmask kernel, which maintains each node's
+    closed-neighbourhood weight with the same floating-point operation
+    sequence as ``_reference_gwmin2`` (ascending-index initial sum,
+    per-removal decrements), so the two return identical coalitions.
     """
-    if fast_kernels_enabled():
-        pool, induced = _fast_pool(graph, weights, nodes)
-        return mwis_gwmin2_bits(weights, pool, induced)
+    pool, induced = _fast_pool(graph, weights, nodes)
+    return mwis_gwmin2_bits(weights, pool, induced)
 
+
+def _reference_gwmin(
+    graph: InterferenceGraph,
+    weights: Mapping[int, float],
+    nodes: Iterable[int],
+) -> List[int]:
+    """Set-based GWMIN: the oracle :func:`mwis_greedy_gwmin` must match."""
+
+    def score(j: int, adjacency: Dict[int, Set[int]]) -> float:
+        return weights[j] / (len(adjacency[j]) + 1.0)
+
+    return _greedy_select(graph, weights, nodes, score)
+
+
+def _reference_gwmin2(
+    graph: InterferenceGraph,
+    weights: Mapping[int, float],
+    nodes: Iterable[int],
+) -> List[int]:
+    """Set-based GWMIN2: the oracle :func:`mwis_greedy_gwmin2` must match."""
     adjacency = _induced_adjacency(graph, nodes)
     _validate_weights(weights, adjacency)
     closed: Dict[int, float] = {}

@@ -1,9 +1,8 @@
 """Deterministic kernel cost counters: profiling's machine-independent half.
 
-The hot kernels (:mod:`repro.interference.bitset`,
-:mod:`repro.core.soa`, the scalar Stage-I pool cache in
-:mod:`repro.core.deferred_acceptance`) each accumulate operation counts
--- heap pops, popcount words, reduceat rows, cache deltas -- into a
+The hot kernels (:mod:`repro.interference.bitset` and
+:mod:`repro.core.soa`) each accumulate operation counts -- heap pops,
+popcount words, reduceat rows, pool-cache deltas -- into a
 module-level ``COST_COUNTERS`` dict as plain integer adds, a cost small
 enough to leave on unconditionally.  This module is the single consumer:
 it resets the providers before a profiled region, snapshots them after,
@@ -35,7 +34,6 @@ __all__ = [
 _PROVIDERS = (
     ("repro.interference.bitset", "COST_COUNTERS"),
     ("repro.core.soa", "COST_COUNTERS"),
-    ("repro.core.deferred_acceptance", "COST_COUNTERS"),
 )
 
 

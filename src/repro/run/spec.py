@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -264,38 +263,6 @@ class EngineSpec:
                 f"{section}.name: expected a non-empty string, "
                 f"got {self.name!r}"
             )
-
-    @classmethod
-    def from_use_bruteforce(
-        cls,
-        use_bruteforce: Optional[bool],
-        solver: Optional[str] = None,
-        default: str = "branch_and_bound",
-        stacklevel: int = 3,
-    ) -> "EngineSpec":
-        """Fold the deprecated ``use_bruteforce=`` flag into an engine.
-
-        The one blessed translation of the legacy boolean: ``True`` means
-        the ``bruteforce`` backend, ``False`` means ``default``, and a
-        conflicting explicit ``solver=`` raises.  Passing the flag at all
-        (either value) emits a single :class:`DeprecationWarning`.
-        """
-        if use_bruteforce is not None:
-            warnings.warn(
-                "use_bruteforce= is deprecated; pass solver='bruteforce' or "
-                "solver='branch_and_bound' instead",
-                DeprecationWarning,
-                stacklevel=stacklevel,
-            )
-            mapped = "bruteforce" if use_bruteforce else default
-            if solver is not None and solver != mapped:
-                raise SpecError(
-                    f"conflicting benchmark selection: solver={solver!r} vs "
-                    f"use_bruteforce={use_bruteforce!r} "
-                    f"(which means {mapped!r})"
-                )
-            return cls(name=mapped)
-        return cls(name=solver if solver is not None else default)
 
 
 @dataclass(frozen=True)

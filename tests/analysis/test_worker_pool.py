@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 import repro.analysis.parallel as parallel_mod
-from repro.analysis.parallel import (
-    PERSISTENT_POOL_ENV,
-    parallel_map,
-    persistent_pool_enabled,
-    shutdown_pools,
-)
+from repro.analysis.parallel import parallel_map, shutdown_pools
 
 SHM_DIR = "/dev/shm"
 
@@ -78,14 +73,6 @@ class TestPersistentPool:
         parallel_map(_pid, [0, 1, 2], jobs=3)
         assert parallel_mod._POOL is not pool_two
         assert parallel_mod._POOL_WORKERS == 3
-
-    def test_env_opt_out_restores_per_call_pools(self, monkeypatch):
-        monkeypatch.setenv(PERSISTENT_POOL_ENV, "0")
-        assert not persistent_pool_enabled()
-        assert parallel_map(_pid, [0, 1, 2, 3], jobs=2)
-        # One-shot pools are torn down at the end of the call, never
-        # cached.
-        assert parallel_mod._POOL is None
 
     def test_shutdown_pools_is_idempotent(self):
         parallel_map(_pid, [0, 1], jobs=2)

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import repro.core.soa as soa
+import repro.interference.mwis as mwis
 from repro.workloads.scenarios import (
     counterexample_market,
     paper_simulation_market,
@@ -40,3 +45,22 @@ def market_factory():
         )
 
     return make
+
+
+@contextmanager
+def set_based_oracle():
+    """Run everything inside the block on the set-based reference paths.
+
+    Stage I takes the per-seller loop instead of the batched SoA path, and
+    every GWMIN/GWMIN2 solve runs the set-based loops instead of the
+    bitmask kernels.  The differential suites compare the default path
+    against this oracle; production code has no way to select it.
+    """
+    with mock.patch.object(soa, "BATCHED_ALGORITHMS", ()), mock.patch.dict(
+        mwis._DISPATCH,
+        {
+            mwis.MwisAlgorithm.GWMIN: mwis._reference_gwmin,
+            mwis.MwisAlgorithm.GWMIN2: mwis._reference_gwmin2,
+        },
+    ):
+        yield

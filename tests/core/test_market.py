@@ -73,6 +73,16 @@ class TestMarketConstruction:
         with pytest.raises(MarketConfigurationError):
             SpectrumMarket(np.ones((0, 2)), simple_map(0, 2))
 
+    def test_rejects_non_numeric_utilities(self):
+        with pytest.raises(MarketConfigurationError, match="numeric"):
+            SpectrumMarket([["a", 1.0]], simple_map(1, 2))
+
+    def test_rejects_unknown_mwis_algorithm(self):
+        with pytest.raises(MarketConfigurationError, match="'bogus'"):
+            SpectrumMarket(
+                np.ones((2, 2)), simple_map(2, 2), mwis_algorithm="bogus"
+            )
+
     def test_default_labels(self):
         market = SpectrumMarket(np.ones((2, 3)), simple_map(2, 3))
         assert market.buyer_names == ("b0", "b1")

@@ -16,9 +16,7 @@ import random
 import pytest
 
 from repro.interference.bitset import (
-    FAST_KERNELS_ENV,
     bits_of,
-    fast_kernels_enabled,
     induced_masks,
     mask_of,
     mwis_gwmin2_bits,
@@ -28,6 +26,8 @@ from repro.interference.bitset import (
 from repro.interference.graph import InterferenceGraph
 from repro.interference.mwis import (
     _argmax_remaining,
+    _reference_gwmin,
+    _reference_gwmin2,
     mwis_greedy_gwmin,
     mwis_greedy_gwmin2,
 )
@@ -74,27 +74,27 @@ def _random_instance(rng: random.Random):
     return graph, weights, pool
 
 
-def _both_paths(monkeypatch, solver, graph, weights, pool):
-    """Run one public solver via the kernel and the reference path."""
-    monkeypatch.delenv(FAST_KERNELS_ENV, raising=False)
-    assert fast_kernels_enabled()
-    fast = solver(graph, weights, pool)
-    monkeypatch.setenv(FAST_KERNELS_ENV, "0")
-    assert not fast_kernels_enabled()
-    reference = solver(graph, weights, pool)
-    monkeypatch.delenv(FAST_KERNELS_ENV, raising=False)
-    return fast, reference
+#: Each public (kernel-backed) solver and its set-based oracle.
+_REFERENCE = {
+    mwis_greedy_gwmin: _reference_gwmin,
+    mwis_greedy_gwmin2: _reference_gwmin2,
+}
+
+
+def _both_paths(solver, graph, weights, pool):
+    """Run one public solver and its set-based reference."""
+    return solver(graph, weights, pool), _REFERENCE[solver](graph, weights, pool)
 
 
 class TestDifferentialRandomGraphs:
     """Seeded-random sweep: 250 instances per algorithm, zero tolerance."""
 
     @pytest.mark.parametrize("solver", [mwis_greedy_gwmin, mwis_greedy_gwmin2])
-    def test_identical_coalitions_on_random_graphs(self, monkeypatch, solver):
+    def test_identical_coalitions_on_random_graphs(self, solver):
         rng = random.Random(20260806)
         for case in range(250):
             graph, weights, pool = _random_instance(rng)
-            fast, reference = _both_paths(monkeypatch, solver, graph, weights, pool)
+            fast, reference = _both_paths(solver, graph, weights, pool)
             assert fast == reference, (
                 f"case {case}: {solver.__name__} diverged on "
                 f"n={graph.num_buyers} pool={pool} weights={weights}"
@@ -102,12 +102,11 @@ class TestDifferentialRandomGraphs:
 
     @pytest.mark.parametrize(
         "kernel,solver",
-        [(mwis_gwmin_bits, mwis_greedy_gwmin), (mwis_gwmin2_bits, mwis_greedy_gwmin2)],
+        [(mwis_gwmin_bits, _reference_gwmin), (mwis_gwmin2_bits, _reference_gwmin2)],
     )
-    def test_direct_kernel_matches_reference(self, monkeypatch, kernel, solver):
-        """Call the kernels directly (as the Stage-I cache does)."""
+    def test_direct_kernel_matches_reference(self, kernel, solver):
+        """Call the kernels directly on prebuilt induced masks."""
         rng = random.Random(77)
-        monkeypatch.setenv(FAST_KERNELS_ENV, "0")
         for _ in range(100):
             graph, weights, pool = _random_instance(rng)
             induced = induced_masks(graph.adjacency_bits, pool, mask_of(pool))
@@ -147,27 +146,13 @@ if HAVE_HYPOTHESIS:
         return InterferenceGraph(n, edges), weights, pool
 
     class TestDifferentialHypothesis:
-        # No monkeypatch here: hypothesis forbids function-scoped
-        # fixtures under @given, so the env var is toggled manually.
         @settings(max_examples=200, deadline=None)
         @given(instance=_instances())
         @pytest.mark.parametrize(
             "solver", [mwis_greedy_gwmin, mwis_greedy_gwmin2]
         )
         def test_identical_coalitions(self, solver, instance):
-            import os
-
-            graph, weights, pool = instance
-            previous = os.environ.pop(FAST_KERNELS_ENV, None)
-            try:
-                fast = solver(graph, weights, pool)
-                os.environ[FAST_KERNELS_ENV] = "0"
-                reference = solver(graph, weights, pool)
-            finally:
-                if previous is None:
-                    os.environ.pop(FAST_KERNELS_ENV, None)
-                else:
-                    os.environ[FAST_KERNELS_ENV] = previous
+            fast, reference = _both_paths(solver, *instance)
             assert fast == reference
 
 
@@ -179,22 +164,22 @@ class TestTieBreak:
         assert _argmax_remaining([3, 5, 9], {3: 1.0, 5: 2.0, 9: 2.0}.get) == 5
 
     @pytest.mark.parametrize("solver", [mwis_greedy_gwmin, mwis_greedy_gwmin2])
-    def test_equal_weight_path_graph(self, monkeypatch, solver):
+    def test_equal_weight_path_graph(self, solver):
         # Path 0-1-2-3 with equal weights: every node ties on score, so
         # the smallest index (0) goes first, eliminating 1; then 2,
         # eliminating 3.  Both paths must realise exactly {0, 2}.
         graph = InterferenceGraph(4, [(0, 1), (1, 2), (2, 3)])
         weights = {j: 2.5 for j in range(4)}
         pool = [0, 1, 2, 3]
-        fast, reference = _both_paths(monkeypatch, solver, graph, weights, pool)
+        fast, reference = _both_paths(solver, graph, weights, pool)
         assert fast == reference == [0, 2]
 
     @pytest.mark.parametrize("solver", [mwis_greedy_gwmin, mwis_greedy_gwmin2])
-    def test_all_zero_weights_are_deterministic(self, monkeypatch, solver):
+    def test_all_zero_weights_are_deterministic(self, solver):
         graph = InterferenceGraph(5, [(0, 1), (1, 2), (3, 4)])
         weights = {j: 0.0 for j in range(5)}
         fast, reference = _both_paths(
-            monkeypatch, solver, graph, weights, [0, 1, 2, 3, 4]
+            solver, graph, weights, [0, 1, 2, 3, 4]
         )
         assert fast == reference
 

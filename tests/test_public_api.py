@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,21 @@ class TestDoctests:
 
         for name in analysis.__all__:
             assert hasattr(analysis, name), name
+
+
+def test_library_reads_no_environment_variables():
+    """Behaviour is chosen by explicit arguments, never by ``os.environ``.
+
+    A process-global switch leaks across threads, workers and test
+    cases; every option the library honours must arrive as a parameter.
+    """
+    package_root = Path(repro.__file__).parent
+    offenders = [
+        f"{path.relative_to(package_root)}:{number}"
+        for path in sorted(package_root.rglob("*.py"))
+        for number, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        )
+        if "os.environ" in line or "os.getenv" in line
+    ]
+    assert offenders == []
