@@ -190,6 +190,13 @@ class TestReportContract:
         with pytest.raises(SolverError, match="check_stability"):
             get_solver("two_stage").solve(toy_market, config={"bogus": 1})
 
+    def test_two_stage_has_no_kernel_selector(self, toy_market):
+        """Stage I has one production path; no config key picks another."""
+        with pytest.raises(SolverError, match="fast_kernels"):
+            get_solver("two_stage").solve(
+                toy_market, config={"fast_kernels": False}
+            )
+
     def test_unknown_distributed_policy_rejected(self, toy_market):
         with pytest.raises(SolverError, match="unknown distributed policy"):
             get_solver("distributed").solve(toy_market, config={"policy": "nope"})
