@@ -7,7 +7,9 @@ evaluations per solve, each a Python-level set/len round trip.  On the
 paper-scale markets the matching core spends almost all of Stage I there.
 
 This module re-implements the same select-and-remove loops over *bitmask*
-state (:attr:`repro.interference.graph.InterferenceGraph.adjacency_bits`):
+state.  The caller (``repro.interference.mwis._fast_pool``) hands each
+kernel the pool and, per member, a Python int with bit ``k`` set iff the
+member interferes with pool member ``k``; the kernels never see the graph:
 
 * candidate pools, neighbourhoods and the alive set are Python ints, so
   intersection / removal / degree are word-parallel C operations;
@@ -43,7 +45,6 @@ __all__ = [
     "popcount",
     "mask_of",
     "bits_of",
-    "induced_masks",
     "mwis_gwmin_bits",
     "mwis_gwmin2_bits",
 ]
@@ -85,13 +86,6 @@ def bits_of(mask: int) -> List[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def induced_masks(
-    adjacency_bits: Sequence[int], pool: Sequence[int], pool_mask: int
-) -> Dict[int, int]:
-    """Adjacency of the subgraph induced by ``pool``, as bitmasks."""
-    return {j: adjacency_bits[j] & pool_mask for j in pool}
 
 
 def _select_loop(
@@ -163,8 +157,8 @@ def mwis_gwmin_bits(
     pool:
         Candidate nodes in ascending index order.
     induced:
-        ``{j: neighbour mask within pool}``, e.g. from
-        :func:`induced_masks`.
+        ``{j: neighbour mask within pool}``, as built by
+        ``repro.interference.mwis._fast_pool``.
     """
     degree = {j: popcount(induced[j]) for j in pool}
     score_of = {j: weights[j] / (degree[j] + 1.0) for j in pool}

@@ -6,22 +6,99 @@ virtual buyers and whose edges join pairs of buyers that would interfere if
 they operated on channel ``i`` at the same time.  ``e^i_{j,j'} = 1`` denotes
 such an edge.
 
-:class:`InterferenceGraph` stores one channel's graph as adjacency sets over
-integer buyer identifiers and exposes the queries the matching algorithms
-need: pairwise interference, neighbourhoods, and independence of candidate
-coalitions.  :class:`InterferenceMap` bundles the per-channel family and
-enforces that every graph covers the same buyer population.
+:class:`InterferenceGraph` stores one channel's graph in exactly one form:
+CSR arrays ``(indptr, indices)`` with ascending, deduplicated neighbour
+lists.  Every constructor funnels its input through one normaliser that
+validates the endpoints and produces that canonical layout, so two graphs
+with the same edge set compare and hash equal whichever way they were
+built.  The queries the matching algorithms need -- pairwise
+interference, neighbourhoods and independence of candidate coalitions --
+read a per-row ``frozenset`` built from the CSR on first use of that row;
+:meth:`InterferenceGraph.packed_rows` derives the dense bit matrix the
+struct-of-arrays Stage I uses for small markets.
+:class:`InterferenceMap` bundles the per-channel family and enforces that
+every graph covers the same buyer population.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-import networkx as nx
+import numpy as np
 
 from repro.errors import MarketConfigurationError
 
+if TYPE_CHECKING:  # networkx is imported only by the interop methods
+    import networkx as nx
+
 __all__ = ["InterferenceGraph", "InterferenceMap"]
+
+
+def _canonical_csr(
+    num_buyers: int, src, dst, presorted: bool = False
+) -> Tuple[int, np.ndarray, np.ndarray]:
+    """Validate edge endpoints and return the canonical CSR layout.
+
+    ``src``/``dst`` are parallel endpoint arrays of undirected edges.
+    They are symmetrised, sorted lexicographically by ``(node,
+    neighbour)`` and deduplicated, unless ``presorted`` promises they
+    already list every directed pair exactly once in that order (the
+    row-major ``np.nonzero`` of a symmetric matrix).  Returns
+    ``(num_buyers, indptr, indices)`` with ``int64`` offsets and ``int32``
+    ascending neighbour ids.
+    """
+    if num_buyers < 0:
+        raise MarketConfigurationError(
+            f"num_buyers must be non-negative, got {num_buyers}"
+        )
+    n = int(num_buyers)
+    src = np.asarray(src).ravel()
+    dst = np.asarray(dst).ravel()
+    if src.shape != dst.shape:
+        raise MarketConfigurationError(
+            f"edge arrays must have equal length, got {src.size} and {dst.size}"
+        )
+    if src.size:
+        if src.dtype.kind not in "iu" or dst.dtype.kind not in "iu":
+            raise MarketConfigurationError(
+                "edge endpoints must be integer buyer ids, got dtypes "
+                f"{src.dtype} and {dst.dtype}"
+            )
+        src = src.astype(np.int64, copy=False)
+        dst = dst.astype(np.int64, copy=False)
+        lo = min(int(src.min()), int(dst.min()))
+        hi = max(int(src.max()), int(dst.max()))
+        if lo < 0 or hi >= n:
+            raise MarketConfigurationError(
+                f"edge endpoint out of range [0, {n})"
+            )
+        if bool((src == dst).any()):
+            raise MarketConfigurationError(
+                "self-interference edges are not allowed"
+            )
+    else:
+        src = dst = np.empty(0, dtype=np.int64)
+    if not presorted and src.size:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
+        keep = np.empty(src.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(src[1:], src[:-1], out=keep[1:])
+        keep[1:] |= dst[1:] != dst[:-1]
+        src, dst = src[keep], dst[keep]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return n, indptr, dst.astype(np.int32)
 
 
 class InterferenceGraph:
@@ -41,47 +118,51 @@ class InterferenceGraph:
     The graph is immutable after construction.  The matching algorithms
     share one :class:`InterferenceGraph` per channel across many queries,
     so immutability keeps aliasing safe and lets instances be hashed into
-    caches.
+    caches.  The only lazily filled state is the per-row neighbour-set
+    memo and the packed-row cache; both are pure functions of the CSR, so
+    concurrent readers that race on them store equal values.
     """
 
-    __slots__ = ("_num_buyers", "_adjacency", "_adjacency_bits", "_csr",
-                 "_packed")
+    __slots__ = ("_num_buyers", "_indptr", "_indices", "_rows", "_packed")
 
     def __init__(self, num_buyers: int, edges: Iterable[Tuple[int, int]] = ()) -> None:
-        if num_buyers < 0:
+        try:
+            pairs = np.asarray(list(edges))
+        except (TypeError, ValueError) as exc:
             raise MarketConfigurationError(
-                f"num_buyers must be non-negative, got {num_buyers}"
+                f"edges must be (j, k) pairs of buyer ids: {exc}"
+            ) from exc
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise MarketConfigurationError(
+                f"edges must be (j, k) pairs of buyer ids, got shape {pairs.shape}"
             )
-        self._num_buyers = int(num_buyers)
-        adjacency: List[Set[int]] = [set() for _ in range(self._num_buyers)]
-        for j, k in edges:
-            self._check_node(j)
-            self._check_node(k)
-            if j == k:
-                raise MarketConfigurationError(
-                    f"self-interference edge ({j}, {k}) is not allowed"
-                )
-            adjacency[j].add(k)
-            adjacency[k].add(j)
-        self._adjacency: Tuple[FrozenSet[int], ...] = tuple(
-            frozenset(neighbours) for neighbours in adjacency
-        )
-        self._adjacency_bits: Optional[Tuple[int, ...]] = None
-        self._csr = None
+        self._store(*_canonical_csr(num_buyers, pairs[:, 0], pairs[:, 1]))
+
+    def _store(self, num_buyers: int, indptr: np.ndarray, indices: np.ndarray) -> None:
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        self._num_buyers = num_buyers
+        self._indptr = indptr
+        self._indices = indices
+        self._rows: List[Optional[FrozenSet[int]]] = [None] * num_buyers
         self._packed = None
 
     @classmethod
     def from_adjacency_matrix(cls, matrix) -> "InterferenceGraph":
         """Build a graph from a boolean adjacency matrix (vectorised path).
 
-        ``matrix`` must be square and symmetric with a zero diagonal.  This
-        constructor skips the per-edge Python loop, which matters for
-        large geometric deployments (thousands of buyers, millions of
-        edges).
+        ``matrix`` must be square and symmetric with a zero diagonal and no
+        NaN entries.  The CSR is read straight off ``np.nonzero(matrix)``,
+        which is already row-major sorted, so this constructor neither
+        loops per edge nor sorts -- which matters for large geometric
+        deployments (thousands of buyers, millions of edges).
         """
-        import numpy as np
-
-        matrix = np.asarray(matrix, dtype=bool)
+        matrix = np.asarray(matrix)
+        if matrix.dtype.kind in "fc" and bool(np.isnan(matrix).any()):
+            raise MarketConfigurationError("adjacency matrix contains NaN entries")
+        matrix = matrix.astype(bool, copy=False)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise MarketConfigurationError(
                 f"adjacency matrix must be square, got shape {matrix.shape}"
@@ -92,20 +173,9 @@ class InterferenceGraph:
             )
         if not np.array_equal(matrix, matrix.T):
             raise MarketConfigurationError("adjacency matrix must be symmetric")
+        rows, cols = np.nonzero(matrix)
         graph = cls.__new__(cls)
-        graph._num_buyers = int(matrix.shape[0])
-        graph._adjacency = tuple(
-            frozenset(np.flatnonzero(row).tolist()) for row in matrix
-        )
-        # The boolean matrix is in hand, so the bitmask representation is
-        # one vectorised packbits away -- orders of magnitude cheaper than
-        # rebuilding it per edge from the adjacency sets later.
-        packed = np.packbits(matrix, axis=1, bitorder="little")
-        graph._adjacency_bits = tuple(
-            int.from_bytes(row.tobytes(), "little") for row in packed
-        )
-        graph._csr = None
-        graph._packed = None
+        graph._store(*_canonical_csr(matrix.shape[0], rows, cols, presorted=True))
         return graph
 
     @classmethod
@@ -116,59 +186,10 @@ class InterferenceGraph:
         one undirected edge ``(u[i], v[i])``.  Unlike
         :meth:`from_adjacency_matrix` this never materialises an ``N x N``
         matrix, so it is the constructor of choice for large sparse
-        geometric deployments (``N`` in the tens of thousands).  The CSR
-        neighbour index is built directly from the arrays, so
-        :meth:`neighbor_csr` is free afterwards.
+        geometric deployments (``N`` in the tens of thousands).
         """
-        import numpy as np
-
-        if num_buyers < 0:
-            raise MarketConfigurationError(
-                f"num_buyers must be non-negative, got {num_buyers}"
-            )
-        u = np.asarray(u, dtype=np.int64).ravel()
-        v = np.asarray(v, dtype=np.int64).ravel()
-        if u.shape != v.shape:
-            raise MarketConfigurationError(
-                f"edge arrays must have equal length, got {u.size} and {v.size}"
-            )
-        if u.size:
-            lo = min(int(u.min()), int(v.min()))
-            hi = max(int(u.max()), int(v.max()))
-            if lo < 0 or hi >= num_buyers:
-                raise MarketConfigurationError(
-                    f"edge endpoint out of range [0, {num_buyers})"
-                )
-            if bool((u == v).any()):
-                raise MarketConfigurationError(
-                    "self-interference edges are not allowed"
-                )
-        # Symmetrise, sort lexicographically by (node, neighbour) and
-        # deduplicate to get a canonical CSR layout with ascending
-        # neighbour lists per node.
-        src = np.concatenate([u, v])
-        dst = np.concatenate([v, u])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        if src.size:
-            keep = np.empty(src.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(src[1:], src[:-1], out=keep[1:])
-            keep[1:] |= dst[1:] != dst[:-1]
-            src, dst = src[keep], dst[keep]
-        indptr = np.zeros(num_buyers + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=num_buyers), out=indptr[1:])
-        indices = dst.astype(np.int32)
         graph = cls.__new__(cls)
-        graph._num_buyers = int(num_buyers)
-        bounds = indptr.tolist()
-        neighbour_lists = np.split(indices, bounds[1:-1])
-        graph._adjacency = tuple(
-            frozenset(chunk.tolist()) for chunk in neighbour_lists
-        )
-        graph._adjacency_bits = None
-        graph._csr = (indptr, indices)
-        graph._packed = None
+        graph._store(*_canonical_csr(num_buyers, u, v))
         return graph
 
     def _check_node(self, j: int) -> None:
@@ -188,125 +209,61 @@ class InterferenceGraph:
     @property
     def num_edges(self) -> int:
         """Number of interference edges."""
-        return sum(len(neighbours) for neighbours in self._adjacency) // 2
+        return int(self._indices.size) // 2
 
     def edges(self) -> Iterator[Tuple[int, int]]:
-        """Iterate over edges as sorted ``(j, k)`` tuples with ``j < k``."""
-        for j, neighbours in enumerate(self._adjacency):
-            for k in neighbours:
-                if j < k:
-                    yield (j, k)
+        """Iterate over edges as ``(j, k)`` tuples with ``j < k``, lexsorted."""
+        u, v = self.edge_arrays()
+        return zip(u.tolist(), v.tolist())
 
     def interferes(self, j: int, k: int) -> bool:
         """Return ``True`` iff buyers ``j`` and ``k`` interfere (``e_{j,k}=1``)."""
-        self._check_node(j)
+        row = self.neighbors(j)
         self._check_node(k)
-        return k in self._adjacency[j]
+        return k in row
 
     def neighbors(self, j: int) -> FrozenSet[int]:
-        """Return the interfering neighbours of buyer ``j``."""
+        """Return the interfering neighbours of buyer ``j``.
+
+        Built from the CSR row on first use and memoised per row, so a
+        query touches only the rows it needs.
+        """
         self._check_node(j)
-        return self._adjacency[j]
+        row = self._rows[j]
+        if row is None:
+            indptr = self._indptr
+            row = frozenset(self._indices[indptr[j] : indptr[j + 1]].tolist())
+            self._rows[j] = row
+        return row
 
     def degree(self, j: int) -> int:
         """Number of interfering neighbours of buyer ``j``."""
-        return len(self.neighbors(j))
+        self._check_node(j)
+        return int(self._indptr[j + 1] - self._indptr[j])
 
-    @property
-    def adjacency_bits(self) -> Tuple[int, ...]:
-        """Per-node neighbourhoods as Python-int bitmasks.
-
-        ``adjacency_bits[j]`` has bit ``k`` set iff ``j`` and ``k``
-        interfere, so set algebra on candidate pools (intersection,
-        union, membership, degree) becomes word-parallel integer
-        arithmetic.  This is the representation the fast MWIS kernels in
-        :mod:`repro.interference.bitset` operate on.
-
-        Built lazily on first access and cached for the graph's lifetime
-        (the graph is immutable, so the masks never go stale).
-        """
-        if self._adjacency_bits is None:
-            import numpy as np
-
-            masks = []
-            bits = np.zeros(self._num_buyers, dtype=np.uint8)
-            for neighbours in self._adjacency:
-                if neighbours:
-                    idx = np.fromiter(
-                        neighbours, dtype=np.int64, count=len(neighbours)
-                    )
-                    bits[idx] = 1
-                    mask = int.from_bytes(
-                        np.packbits(bits, bitorder="little").tobytes(), "little"
-                    )
-                    bits[idx] = 0
-                else:
-                    mask = 0
-                masks.append(mask)
-            self._adjacency_bits = tuple(masks)
-        return self._adjacency_bits
-
-    def neighbor_csr(self):
-        """Per-node neighbour lists in CSR form: ``(indptr, indices)``.
+    def neighbor_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The stored adjacency in CSR form: ``(indptr, indices)``.
 
         ``indices[indptr[j]:indptr[j + 1]]`` is buyer ``j``'s neighbour
-        set as an ascending ``int32`` array.  This is the zero-copy,
-        array-native view the struct-of-arrays Stage-I path consumes when
-        linking pool arrivals into the packed adjacency rows.  Built
-        lazily (vectorised from the bitmasks when they exist, otherwise
-        from the adjacency sets) and cached for the graph's lifetime.
+        set as an ascending ``int32`` array.  Both arrays are read-only
+        views of the graph's own storage.
         """
-        if self._csr is None:
-            import numpy as np
-
-            n = self._num_buyers
-            if self._adjacency_bits is not None and n:
-                # Unpack the cached Python-int masks in bulk: fixed-width
-                # little-endian bytes -> a (N, N) bit matrix -> nonzero.
-                width = (n + 7) // 8
-                raw = b"".join(
-                    mask.to_bytes(width, "little")
-                    for mask in self._adjacency_bits
-                )
-                bits = np.unpackbits(
-                    np.frombuffer(raw, dtype=np.uint8).reshape(n, width),
-                    axis=1,
-                    bitorder="little",
-                )[:, :n]
-                rows, cols = np.nonzero(bits)
-                indptr = np.zeros(n + 1, dtype=np.int64)
-                np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-                indices = cols.astype(np.int32)
-            else:
-                counts = [len(nbrs) for nbrs in self._adjacency]
-                indptr = np.zeros(n + 1, dtype=np.int64)
-                np.cumsum(np.asarray(counts, dtype=np.int64), out=indptr[1:])
-                indices = np.empty(int(indptr[-1]), dtype=np.int32)
-                for j, nbrs in enumerate(self._adjacency):
-                    if nbrs:
-                        chunk = np.fromiter(nbrs, dtype=np.int32, count=len(nbrs))
-                        chunk.sort()
-                        indices[indptr[j] : indptr[j + 1]] = chunk
-            self._csr = (indptr, indices)
-        return self._csr
+        return self._indptr, self._indices
 
     def packed_rows(self):
         """Adjacency as a dense ``(N, ceil(N/64))`` uint64 bit matrix.
 
         Row ``j`` packs buyer ``j``'s neighbourhood little-endian over
-        buyer-id bit positions -- the array-native counterpart of
-        :attr:`adjacency_bits` consumed by the struct-of-arrays Stage-I
-        pool caches.  Dense in ``N``, so callers should only use it for
-        small-to-medium markets (the SoA layer falls back to CSR-based
+        buyer-id bit positions, as consumed by the struct-of-arrays
+        Stage-I pool caches.  Dense in ``N``, so callers should only use it
+        for small-to-medium markets (the SoA layer falls back to CSR-based
         pool rows above its density threshold).  Built lazily and cached
         for the graph's lifetime.
         """
         if self._packed is None:
-            import numpy as np
-
             n = self._num_buyers
             words = (n + 63) // 64 if n else 1
-            indptr, indices = self.neighbor_csr()
+            indptr, indices = self._indptr, self._indices
             bits = np.zeros((n, words * 64), dtype=bool)
             if indices.size:
                 src = np.repeat(
@@ -318,7 +275,7 @@ class InterferenceGraph:
             ).view(np.uint64)
         return self._packed
 
-    def edge_arrays(self):
+    def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Edges as parallel arrays ``(u, v)`` with ``u < v``, lexsorted.
 
         The inverse of :meth:`from_edge_arrays`: a compact, picklable and
@@ -326,14 +283,11 @@ class InterferenceGraph:
         structure across process boundaries (shared-memory sweeps)
         without serialising per-node Python sets.
         """
-        import numpy as np
-
-        indptr, indices = self.neighbor_csr()
         src = np.repeat(
-            np.arange(self._num_buyers, dtype=np.int32), np.diff(indptr)
+            np.arange(self._num_buyers, dtype=np.int32), np.diff(self._indptr)
         )
-        upper = src < indices
-        return src[upper], indices[upper].copy()
+        upper = src < self._indices
+        return src[upper], self._indices[upper]
 
     # ------------------------------------------------------------------
     # Coalition-level queries
@@ -353,15 +307,14 @@ class InterferenceGraph:
             # twice.
             return False
         for j in chosen_set:
-            if not chosen_set.isdisjoint(self._adjacency[j]):
+            if not chosen_set.isdisjoint(self.neighbors(j)):
                 return False
         return True
 
     def conflicts_with_set(self, j: int, buyers: Iterable[int]) -> bool:
         """Return ``True`` iff buyer ``j`` interferes with anyone in ``buyers``."""
-        self._check_node(j)
-        neighbours = self._adjacency[j]
-        return any(k in neighbours for k in buyers if k != j)
+        # No self-loops, so ``j`` itself never counts as a conflict.
+        return not self.neighbors(j).isdisjoint(buyers)
 
     def independent_subset_greedily_compatible(
         self, anchor: Iterable[int], candidates: Sequence[int]
@@ -384,13 +337,17 @@ class InterferenceGraph:
     # ------------------------------------------------------------------
     def to_networkx(self) -> "nx.Graph":
         """Export the graph to :class:`networkx.Graph` (nodes ``0..N-1``)."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(range(self._num_buyers))
         graph.add_edges_from(self.edges())
         return graph
 
     @classmethod
-    def from_networkx(cls, graph: "nx.Graph", num_buyers: int | None = None) -> "InterferenceGraph":
+    def from_networkx(
+        cls, graph: "nx.Graph", num_buyers: Optional[int] = None
+    ) -> "InterferenceGraph":
         """Build an :class:`InterferenceGraph` from a networkx graph.
 
         Nodes must be integers; ``num_buyers`` defaults to ``max(node)+1``
@@ -408,11 +365,14 @@ class InterferenceGraph:
             return NotImplemented
         return (
             self._num_buyers == other._num_buyers
-            and self._adjacency == other._adjacency
+            and np.array_equal(self._indptr, other._indptr)
+            and np.array_equal(self._indices, other._indices)
         )
 
     def __hash__(self) -> int:
-        return hash((self._num_buyers, self._adjacency))
+        return hash(
+            (self._num_buyers, self._indptr.tobytes(), self._indices.tobytes())
+        )
 
     def __repr__(self) -> str:
         return (
@@ -491,15 +451,20 @@ class InterferenceMap:
         from the same physical buyer must never share a channel, which the
         paper encodes by making them interfering neighbours everywhere.
         """
-        clique_edges = [
-            (buyers[a], buyers[b])
-            for a in range(len(buyers))
-            for b in range(a + 1, len(buyers))
-        ]
+        members = np.asarray(buyers)
+        if members.size < 2:
+            return self
+        a, b = np.triu_indices(members.size, 1)
         new_graphs = []
         for graph in self._graphs:
-            edges = list(graph.edges()) + clique_edges
-            new_graphs.append(InterferenceGraph(graph.num_buyers, edges))
+            u, v = graph.edge_arrays()
+            new_graphs.append(
+                InterferenceGraph.from_edge_arrays(
+                    graph.num_buyers,
+                    np.concatenate([u, members[a]]),
+                    np.concatenate([v, members[b]]),
+                )
+            )
         return InterferenceMap(new_graphs)
 
     def density(self, channel: int) -> float:

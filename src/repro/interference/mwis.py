@@ -29,8 +29,11 @@ deterministically (strictly-greater score wins, equal scores go to the
 smallest buyer index) so simulation runs are reproducible.
 
 GWMIN and GWMIN2 always run on the bitmask kernels of
-:mod:`repro.interference.bitset`.  Their set-based loops are kept as the
-private oracles ``_reference_gwmin`` / ``_reference_gwmin2``: the
+:mod:`repro.interference.bitset`.  ``_fast_pool`` builds a kernel's input
+-- one Python-int mask per pool member, ``mask_of(neighbors(j) & pool)``
+-- from the members' own graph rows, never from an ``N``-row table, so a
+pool costs as much as its members' rows.  The set-based loops are kept as
+the private oracles ``_reference_gwmin`` / ``_reference_gwmin2``: the
 differential property suite asserts element-for-element equality against
 them on random graphs, and tests reach the set-based Stage I by pointing
 ``_DISPATCH`` at them for the duration of a call.
@@ -42,12 +45,7 @@ import enum
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import SolverError, SolverLimitExceeded
-from repro.interference.bitset import (
-    induced_masks,
-    mask_of,
-    mwis_gwmin2_bits,
-    mwis_gwmin_bits,
-)
+from repro.interference.bitset import mask_of, mwis_gwmin2_bits, mwis_gwmin_bits
 from repro.interference.graph import InterferenceGraph
 
 __all__ = [
@@ -167,15 +165,17 @@ def _fast_pool(
     weights: Mapping[int, float],
     nodes: Iterable[int],
 ) -> Tuple[List[int], Dict[int, int]]:
-    """Validate ``nodes`` and build (pool, induced bitmasks) for a kernel."""
+    """Validate ``nodes`` and build (pool, induced bitmasks) for a kernel.
+
+    Each member's mask is its neighbour row intersected with the pool, so
+    the cost follows the members' rows, not the whole graph.  ``neighbors``
+    performs the same bounds check (and raises the same error) as the
+    set-based path.
+    """
     node_set = set(nodes)
-    for j in node_set:
-        # Same bounds check (and error type) the set-based path performs
-        # through graph.neighbors().
-        graph._check_node(j)
-    _validate_weights(weights, node_set)
     pool = sorted(node_set)
-    induced = induced_masks(graph.adjacency_bits, pool, mask_of(pool))
+    induced = {j: mask_of(graph.neighbors(j) & node_set) for j in pool}
+    _validate_weights(weights, node_set)
     return pool, induced
 
 

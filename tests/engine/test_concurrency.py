@@ -4,7 +4,9 @@ Stage I keeps no process-global path selection, so two-stage solves run
 from several threads at once -- each under its own recorder -- must
 produce exactly the matchings and event streams of serial runs.  The
 markets cover both Stage-I paths: GWMIN and GWMIN2 take the batched SoA
-path, GWMAX the per-seller loop.
+path, GWMAX the per-seller loop.  One more case solves a single freshly
+built market from two threads at once, so both race to fill the same
+lazily built graph rows.
 """
 
 from __future__ import annotations
@@ -52,10 +54,8 @@ def _solve(market, start=None):
     return coalitions, events
 
 
-def test_threaded_solves_match_serial_runs():
-    markets = [_market(algorithm) for algorithm in ALGORITHMS]
-    serial = [_solve(market) for market in markets]
-
+def _solve_in_threads(markets):
+    """Solve every market in its own thread, all released at once."""
     start = threading.Barrier(len(markets), timeout=60)
     results = [None] * len(markets)
     errors = []
@@ -83,7 +83,27 @@ def test_threaded_solves_match_serial_runs():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors
+    return results
+
+
+def test_threaded_solves_match_serial_runs():
+    markets = [_market(algorithm) for algorithm in ALGORITHMS]
+    serial = [_solve(market) for market in markets]
+    results = _solve_in_threads(markets)
     for algorithm, expected, got in zip(ALGORITHMS, serial, results):
         assert got[0] == expected[0], f"{algorithm.value}: matching differs"
         assert got[1] == expected[1], f"{algorithm.value}: events differ"
         assert any(e["event"] == "stage1.round" for e in got[1])
+
+
+def test_two_threads_share_one_fresh_market():
+    """Two solves of one freshly built market fill its graphs' lazy
+    per-row neighbour memos concurrently; both must equal a serial run."""
+    expected = _solve(_market(MwisAlgorithm.GWMIN))
+    shared = _market(MwisAlgorithm.GWMIN)
+    assert all(
+        row is None for graph in shared.interference for row in graph._rows
+    ), "the shared market must start with cold row memos"
+    for got in _solve_in_threads([shared, shared]):
+        assert got[0] == expected[0], "matching differs"
+        assert got[1] == expected[1], "events differ"

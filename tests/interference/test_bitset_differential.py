@@ -17,7 +17,6 @@ import pytest
 
 from repro.interference.bitset import (
     bits_of,
-    induced_masks,
     mask_of,
     mwis_gwmin2_bits,
     mwis_gwmin_bits,
@@ -26,6 +25,7 @@ from repro.interference.bitset import (
 from repro.interference.graph import InterferenceGraph
 from repro.interference.mwis import (
     _argmax_remaining,
+    _fast_pool,
     _reference_gwmin,
     _reference_gwmin2,
     mwis_greedy_gwmin,
@@ -105,13 +105,14 @@ class TestDifferentialRandomGraphs:
         [(mwis_gwmin_bits, _reference_gwmin), (mwis_gwmin2_bits, _reference_gwmin2)],
     )
     def test_direct_kernel_matches_reference(self, kernel, solver):
-        """Call the kernels directly on prebuilt induced masks."""
+        """Call the kernels directly on the masks ``_fast_pool`` builds."""
         rng = random.Random(77)
         for _ in range(100):
             graph, weights, pool = _random_instance(rng)
-            induced = induced_masks(graph.adjacency_bits, pool, mask_of(pool))
             float_weights = {j: float(weights[j]) for j in pool}
-            assert kernel(float_weights, pool, induced) == solver(
+            kernel_pool, induced = _fast_pool(graph, float_weights, pool)
+            assert kernel_pool == pool
+            assert kernel(float_weights, kernel_pool, induced) == solver(
                 graph, weights, pool
             )
 
@@ -193,8 +194,9 @@ class TestBitsetPrimitives:
         assert popcount(0) == 0
         assert popcount((1 << 70) | 0b1011) == 4
 
-    def test_induced_masks_restrict_to_pool(self):
+    def test_fast_pool_masks_restrict_to_pool(self):
         graph = InterferenceGraph(4, [(0, 1), (0, 2), (2, 3)])
-        pool = [0, 2]
-        induced = induced_masks(graph.adjacency_bits, pool, mask_of(pool))
+        weights = {j: 1.0 for j in range(4)}
+        pool, induced = _fast_pool(graph, weights, [2, 0, 2])
+        assert pool == [0, 2]
         assert induced == {0: mask_of([2]), 2: mask_of([0])}

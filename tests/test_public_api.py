@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -87,3 +90,17 @@ def test_library_reads_no_environment_variables():
         if "os.environ" in line or "os.getenv" in line
     ]
     assert offenders == []
+
+
+def test_import_leaves_networkx_unloaded():
+    """``import repro`` must not pay for networkx, used only by interop."""
+    code = "import sys, repro; print('networkx' in sys.modules)"
+    src = str(Path(repro.__file__).parent.parent)
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert completed.stdout.strip() == "False"
