@@ -41,10 +41,15 @@ and span summary after the command's normal output) and ``--dry-run``
 (print the equivalent RunSpec JSON instead of executing); see the
 Observability and Run model sections of ``docs/architecture.md``.
 
-Internally every run subcommand is a thin adapter: parsed flags become a
-:class:`~repro.run.spec.RunSpec` (see :func:`_spec_from_args`) and the
-command bodies consume the spec, so ``repro toy`` and ``repro run
-toy-spec.json`` execute byte-identically.
+The CLI renders; :class:`~repro.run.session.Session` runs.  Parsed
+flags become a validated :class:`~repro.run.spec.RunSpec` (see
+:func:`_spec_from_args`), the command runs inside ``with Session(spec)
+as session:`` and its renderer prints ``session.execute()``; the
+``distributed``, ``chaos`` and ``report`` composites call the public
+entry points inside the same block.  ``repro toy`` and ``repro run
+toy-spec.json`` therefore take the identical path.  The non-spec
+commands run inside an :class:`~repro.run.session.ObservabilityStack`
+built from their flags.
 """
 
 from __future__ import annotations
@@ -55,23 +60,21 @@ import dataclasses
 import sys
 from typing import Optional, Sequence, Tuple
 
-from repro.analysis.paper_figures import figure_spec, run_figure
+from repro.analysis.paper_figures import figure_spec
 from repro.analysis.reporting import format_experiment_rows, rows_to_csv
 from repro.core.stability import (
     is_nash_stable,
     is_pairwise_stable,
     pairwise_blocking_pairs,
 )
-from repro.obs import format_metrics_summary, get_recorder, use_recorder
+from repro.core.two_stage import run_two_stage
+from repro.distributed.protocol import run_distributed_matching
+from repro.obs import format_metrics_summary, get_recorder
 from repro.run.session import (
-    build_market,
-    build_profiler,
-    build_recorder,
-    build_slo_engine,
-    execute_distributed,
-    execute_durable,
-    execute_two_stage,
-    start_telemetry_server,
+    ObservabilityStack,
+    Session,
+    build_policy,
+    protocol_arguments,
 )
 from repro.run.spec import (
     RUN_COMMANDS,
@@ -825,7 +828,7 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
     """Translate one run subcommand's parsed flags into its RunSpec.
 
     This is the single place where CLI flags meet the declarative run
-    model; the command implementations below consume only the spec, so
+    model; the renderers below see only the Session running the spec, so
     ``repro <command> <flags>`` and ``repro run <spec.json>`` execute the
     identical path.
     """
@@ -958,19 +961,16 @@ def _base_spec_from_args(args: argparse.Namespace) -> RunSpec:
 
 
 # ----------------------------------------------------------------------
-# Command implementations (each consumes a RunSpec)
+# Spec command renderers (each runs inside an entered Session)
 # ----------------------------------------------------------------------
-def _cmd_figure(figure: int, spec: RunSpec) -> int:
+def _cmd_figure(session: Session) -> int:
+    spec = session.spec
     options = spec.engine.options
+    figure = int(spec.command[3])
     panel = options.get("panel", "a")
     repetitions = options.get("repetitions")
     fig_spec = figure_spec(figure, panel)
-    rows = run_figure(
-        fig_spec,
-        repetitions=repetitions,
-        seed=spec.market.seed,
-        jobs=spec.parallel.jobs,
-    )
+    rows = session.execute()
     series = {6: _FIG6_SERIES, 7: _FIG7_SERIES, 8: _FIG8_SERIES}[figure]
     x_label = fig_spec.axis.value
     include_srcc = fig_spec.axis.value == "similarity"
@@ -997,22 +997,9 @@ def _cmd_figure(figure: int, spec: RunSpec) -> int:
     return 0
 
 
-def _emit_market_created(market, scenario: str) -> None:
-    """Emit the ``market.created`` lifecycle event for a CLI-built market."""
-    recorder = get_recorder()
-    if recorder.enabled:
-        recorder.emit(
-            "market.created",
-            scenario=scenario,
-            buyers=market.num_buyers,
-            channels=market.num_channels,
-        )
-
-
-def _cmd_toy(spec: RunSpec) -> int:
-    market = build_market(spec.market)
-    _emit_market_created(market, "toy")
-    result = execute_two_stage(market)
+def _cmd_toy(session: Session) -> int:
+    result = session.execute()
+    market = session.market
     print("Paper toy example (5 buyers, sellers a/b/c)")
     print("-- Stage I (adapted deferred acceptance) --")
     for record in result.stage_one.rounds:
@@ -1049,10 +1036,9 @@ def _cmd_toy(spec: RunSpec) -> int:
     return 0
 
 
-def _cmd_counterexample(spec: RunSpec) -> int:
-    market = build_market(spec.market)
-    _emit_market_created(market, "counterexample")
-    result = execute_two_stage(market)
+def _cmd_counterexample(session: Session) -> int:
+    result = session.execute()
+    market = session.market
     matching = result.matching
     print("Section III-D counterexample")
     coalitions = {
@@ -1075,42 +1061,29 @@ def _cmd_counterexample(spec: RunSpec) -> int:
     return 0
 
 
-def _cmd_distributed(spec: RunSpec) -> int:
-    from repro.distributed.transition import adaptive_policy, default_policy
-
-    market = build_market(spec.market)
-    _emit_market_created(market, "paper_simulation")
-    centralized = execute_two_stage(market, record_trace=False)
-    engine = getattr(get_recorder(), "slo_engine", None)
-    if engine is not None:
-        engine.set_reference("welfare", centralized.social_welfare)
+def _cmd_distributed(session: Session) -> int:
+    """Composite: the centralised run, then one protocol run per policy."""
+    spec = session.spec
+    market = session.market
+    centralized = run_two_stage(market, record_trace=False)
+    if session.slo_engine is not None:
+        session.slo_engine.set_reference(
+            "welfare", centralized.social_welfare
+        )
     print(
         f"market: N={spec.market.buyers} buyers, M={spec.market.sellers} "
         f"channels (seed {spec.market.seed}); centralized welfare "
         f"{centralized.social_welfare:.4f}"
     )
-    network = None
-    reliable = False
-    loss = spec.faults.loss
-    if loss > 0.0:
-        from repro.distributed.network import LossyNetwork
-
-        network = LossyNetwork(loss)
-        reliable = True
-        print(f"network: {loss:.0%} message loss, ARQ transport enabled")
-    policy_name = spec.engine.options.get("policy", "both")
-    policies = []
-    if policy_name in ("default", "both"):
-        policies.append(("default", default_policy()))
-    if policy_name in ("adaptive", "both"):
-        policies.append(("adaptive", adaptive_policy()))
-    for name, policy in policies:
-        run = execute_distributed(
-            market,
-            policy=policy,
-            network=network,
-            seed=spec.market.seed,
-            reliable_transport=reliable,
+    if spec.faults.loss > 0.0:
+        print(
+            f"network: {spec.faults.loss:.0%} message loss, "
+            f"ARQ transport enabled"
+        )
+    policy = spec.engine.options.get("policy", "default")
+    for name in ("default", "adaptive") if policy == "both" else (policy,):
+        run = run_distributed_matching(
+            market, **protocol_arguments(spec, name)
         )
         print(
             f"{name:>8}: slots={run.slots} messages={run.messages_sent} "
@@ -1121,26 +1094,31 @@ def _cmd_distributed(spec: RunSpec) -> int:
     return 0
 
 
-def _cmd_chaos_durable(spec: RunSpec) -> int:
+def _cmd_durable(session: Session) -> int:
     from repro.errors import CheckpointError
 
     try:
-        result = execute_durable(
-            "chaos",
-            spec.durability.checkpoint_dir,
-            spec.durable_identity(),
-            seed=spec.market.seed,
-            recorder=get_recorder(),
-            inject_stall_after=spec.durability.inject_stall_after,
-        )
+        result = session.execute()
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _print_durable_chaos_result(spec.durability.checkpoint_dir, result)
+    _print_durable_result(session.spec.durability.checkpoint_dir, result)
     return 0
 
 
-def _print_durable_chaos_result(run_dir: str, result: dict) -> None:
+def _print_durable_result(run_dir: str, result: dict) -> None:
+    if result["kind"] == "dynamic":
+        print(
+            f"durable dynamic run complete in {run_dir} "
+            f"({result['epochs']} epochs, strategy {result['strategy']})"
+        )
+        print(
+            f"{result['strategy']:>5}: total welfare "
+            f"{result['total_welfare']:.2f}, incumbents moved "
+            f"{result['total_churned']}, protocol rounds "
+            f"{result['total_rounds']}"
+        )
+        return
     print(f"durable chaos run complete in {run_dir}")
     print(
         f"status={result['status']} slots={result['slots']} "
@@ -1160,79 +1138,45 @@ def _print_durable_chaos_result(run_dir: str, result: dict) -> None:
     )
 
 
-def _cmd_chaos(spec: RunSpec) -> int:
-    from repro.distributed.faults import (
-        CrashFault,
-        FaultSchedule,
-        PartitionFault,
-    )
-    from repro.distributed.transition import adaptive_policy, default_policy
+def _cmd_chaos(session: Session) -> int:
+    """Composite: a fault-free reference twin, then the chaos run."""
     from repro.errors import SimulationError
+    from repro.obs import NULL_RECORDER
 
+    spec = session.spec
     if spec.durability.durable:
-        return _cmd_chaos_durable(spec)
-
-    market = build_market(spec.market)
-    _emit_market_created(market, "paper_simulation")
-    policy_name = spec.engine.options.get("policy", "default")
-    policy = (
-        default_policy() if policy_name == "default" else adaptive_policy()
-    )
-
-    schedule = FaultSchedule(
-        crashes=[CrashFault.parse(s) for s in spec.faults.crashes],
-        partitions=[
-            PartitionFault.parse(s) for s in spec.faults.partitions
-        ],
-    )
-    network = None
-    reliable = False
-    loss = spec.faults.loss
-    if loss > 0.0:
-        from repro.distributed.network import LossyNetwork
-
-        network = LossyNetwork(loss)
-        reliable = True
+        return _cmd_durable(session)
+    market = session.market
+    policy = spec.engine.options.get("policy", "default")
+    faults = spec.faults
     print(
         f"market: N={spec.market.buyers} buyers, M={spec.market.sellers} "
-        f"channels (seed {spec.market.seed}); policy {policy_name}"
+        f"channels (seed {spec.market.seed}); policy {policy}"
     )
     print(
-        f"faults: {len(schedule.crashes)} crash(es), "
-        f"{len(schedule.partitions)} partition(s); "
-        f"loss {loss:.0%}"
-        + (", ARQ transport" if reliable else "")
+        f"faults: {len(faults.crashes)} crash(es), "
+        f"{len(faults.partitions)} partition(s); "
+        f"loss {faults.loss:.0%}"
+        + (", ARQ transport" if faults.loss > 0.0 else "")
         + (
-            f"; deadline {spec.faults.deadline_slots} slots "
-            f"({spec.faults.on_timeout} on timeout)"
-            if spec.faults.deadline_slots is not None
+            f"; deadline {faults.deadline_slots} slots "
+            f"({faults.on_timeout} on timeout)"
+            if faults.deadline_slots is not None
             else ""
         )
     )
     # The fault-free reference twin runs under the null recorder, so a
     # --trace-out trace contains only the chaos run itself and diffs
     # cleanly against a separately recorded fault-free trace.
-    from repro.obs import NULL_RECORDER
-
-    reference = execute_distributed(
-        market, policy=policy, recorder=NULL_RECORDER
+    reference = run_distributed_matching(
+        market, policy=build_policy(policy), recorder=NULL_RECORDER
     )
     # The fault-free welfare is the natural baseline for the
     # welfare_regression_pct SLO signal.
-    engine = getattr(get_recorder(), "slo_engine", None)
-    if engine is not None:
-        engine.set_reference("welfare", reference.social_welfare)
+    if session.slo_engine is not None:
+        session.slo_engine.set_reference("welfare", reference.social_welfare)
     try:
-        run = execute_distributed(
-            market,
-            policy=policy,
-            network=network,
-            seed=spec.market.seed,
-            reliable_transport=reliable,
-            fault_schedule=schedule if not schedule.empty else None,
-            deadline_slots=spec.faults.deadline_slots,
-            on_timeout=spec.faults.on_timeout,
-        )
+        run = session.execute()
     except SimulationError as exc:
         print(f"run aborted: {exc}")
         return 1
@@ -1258,10 +1202,8 @@ def _cmd_chaos(spec: RunSpec) -> int:
     return 0
 
 
-def _cmd_swaps(spec: RunSpec) -> int:
-    from repro.core.swap_extension import coordinated_swaps
-
-    market = build_market(spec.market)
+def _cmd_swaps(session: Session) -> int:
+    spec = session.spec
     if spec.market.scenario == "counterexample":
         print("instance: Section III-D counterexample")
     else:
@@ -1269,8 +1211,8 @@ def _cmd_swaps(spec: RunSpec) -> int:
             f"instance: random market N={spec.market.buyers}, "
             f"M={spec.market.sellers} (seed {spec.market.seed})"
         )
-    result = execute_two_stage(market, record_trace=False)
-    stage3 = coordinated_swaps(market, result.matching)
+    stage3 = session.execute()
+    market = session.market
     print(f"two-stage welfare: {stage3.welfare_before:.4f}")
     print(f"after Stage III:   {stage3.welfare_after:.4f} "
           f"({stage3.num_swaps} swap(s) executed)")
@@ -1285,60 +1227,12 @@ def _cmd_swaps(spec: RunSpec) -> int:
     return 0
 
 
-def _cmd_dynamic_durable(spec: RunSpec) -> int:
-    from repro.errors import CheckpointError
-
-    try:
-        result = execute_durable(
-            "dynamic",
-            spec.durability.checkpoint_dir,
-            spec.durable_identity(),
-            seed=spec.market.seed,
-            recorder=get_recorder(),
-            inject_stall_after=spec.durability.inject_stall_after,
-        )
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(
-        f"durable dynamic run complete in {spec.durability.checkpoint_dir} "
-        f"({result['epochs']} epochs, strategy {result['strategy']})"
-    )
-    print(
-        f"{result['strategy']:>5}: total welfare "
-        f"{result['total_welfare']:.2f}, incumbents moved "
-        f"{result['total_churned']}, protocol rounds {result['total_rounds']}"
-    )
-    return 0
-
-
-def _cmd_dynamic(spec: RunSpec) -> int:
-    import numpy as np
-
-    from repro.dynamic.generator import DynamicMarketGenerator
-    from repro.dynamic.online import OnlineMatcher, RematchStrategy
-
+def _cmd_dynamic(session: Session) -> int:
+    spec = session.spec
     if spec.durability.durable:
-        return _cmd_dynamic_durable(spec)
-
+        return _cmd_durable(session)
+    results = session.execute()
     workload = spec.market.workload
-    strategies = (
-        list(RematchStrategy)
-        if workload.strategy == "both"
-        else [RematchStrategy(workload.strategy)]
-    )
-    results = {}
-    for strategy in strategies:
-        generator = DynamicMarketGenerator(
-            num_channels=spec.market.sellers,
-            initial_buyers=spec.market.buyers,
-            arrival_rate=workload.arrival_rate,
-            departure_prob=workload.departure_prob,
-            drift_sigma=workload.drift,
-            rng=np.random.default_rng(spec.market.seed),
-        )
-        matcher = OnlineMatcher(strategy)
-        results[strategy] = matcher.run(generator.epochs(workload.epochs))
     print(
         f"{workload.epochs} epochs, N0={spec.market.buyers}, "
         f"M={spec.market.sellers}, "
@@ -1356,16 +1250,20 @@ def _cmd_dynamic(spec: RunSpec) -> int:
     return 0
 
 
-def _cmd_report(spec: RunSpec) -> int:
-    """Quick replication report: each headline claim, checked live."""
+def _cmd_report(session: Session) -> int:
+    """Composite: each headline claim of the paper, checked live."""
     import numpy as np
 
     import repro
     from repro.core.swap_extension import coordinated_swaps
-    from repro.distributed.transition import adaptive_policy, default_policy
     from repro.optimal.branch_and_bound import optimal_matching_branch_and_bound
+    from repro.workloads.scenarios import (
+        counterexample_market,
+        paper_simulation_market,
+        toy_example_market,
+    )
 
-    seed = spec.market.seed
+    seed = session.spec.market.seed
 
     def line(ok: bool, text: str) -> None:
         print(f"  [{'PASS' if ok else 'FAIL'}] {text}")
@@ -1375,7 +1273,7 @@ def _cmd_report(spec: RunSpec) -> int:
 
     print("Toy example (Figs. 1-3):")
     toy = toy_example_market()
-    toy_result = execute_two_stage(toy, record_trace=False)
+    toy_result = run_two_stage(toy, record_trace=False)
     line(
         toy_result.welfare_stage1 == 27.0,
         f"Stage I welfare 27 (measured {toy_result.welfare_stage1:g})",
@@ -1387,7 +1285,7 @@ def _cmd_report(spec: RunSpec) -> int:
 
     print("Stability (Propositions 3-4, Section III-D):")
     ce = counterexample_market()
-    ce_result = execute_two_stage(ce, record_trace=False)
+    ce_result = run_two_stage(ce, record_trace=False)
     line(is_nash_stable(ce, ce_result.matching), "output Nash-stable")
     line(
         not is_pairwise_stable(ce, ce_result.matching),
@@ -1406,7 +1304,7 @@ def _cmd_report(spec: RunSpec) -> int:
         market = paper_simulation_market(
             8, 4, np.random.default_rng([seed, rep])
         )
-        result = execute_two_stage(market, record_trace=False)
+        result = run_two_stage(market, record_trace=False)
         best = optimal_matching_branch_and_bound(market).social_welfare(
             market.utilities
         )
@@ -1416,14 +1314,18 @@ def _cmd_report(spec: RunSpec) -> int:
 
     print("Distributed implementation (Section IV):")
     market = paper_simulation_market(12, 3, np.random.default_rng(seed))
-    centralized = execute_two_stage(market, record_trace=False)
-    distributed = execute_distributed(market, policy=default_policy())
+    centralized = run_two_stage(market, record_trace=False)
+    distributed = run_distributed_matching(
+        market, policy=build_policy("default")
+    )
     line(
         distributed.matching == centralized.matching,
         "default-rule protocol replays the centralised algorithm exactly",
     )
-    adaptive = execute_distributed(toy, policy=adaptive_policy())
-    default_run = execute_distributed(toy, policy=default_policy())
+    adaptive = run_distributed_matching(toy, policy=build_policy("adaptive"))
+    default_run = run_distributed_matching(
+        toy, policy=build_policy("default")
+    )
     line(
         adaptive.slots < default_run.slots,
         f"adaptive transition rules beat the default deadline "
@@ -1433,23 +1335,21 @@ def _cmd_report(spec: RunSpec) -> int:
     return 0
 
 
-def _cmd_solve(spec: RunSpec) -> int:
+def _cmd_solve(session: Session) -> int:
     from repro.engine import get_solver
     from repro.errors import SolverError
 
-    market = build_market(spec.market)
-    _emit_market_created(market, spec.market.scenario)
-    config = dict(spec.engine.options)
-    check_stability = bool(config.get("check_stability"))
+    spec = session.spec
     try:
-        solver = get_solver(spec.engine.name)
-        report = solver.solve(market, config=config or None)
+        report = session.execute()
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    market = session.market
+    capabilities = get_solver(report.solver).capabilities
     print(
         f"solver: {report.solver} "
-        f"[{', '.join(sorted(c.value for c in solver.capabilities))}]"
+        f"[{', '.join(sorted(c.value for c in capabilities))}]"
     )
     print(
         f"market: {market.num_buyers} buyers x {market.num_channels} channels "
@@ -1465,6 +1365,7 @@ def _cmd_solve(spec: RunSpec) -> int:
             f"({report.matched_fraction:.0%})"
         )
         print(f"interference-free: {report.interference_free}")
+    check_stability = spec.engine.options.get("check_stability")
     if check_stability and report.matching is not None:
         print(
             f"stability: individually_rational={report.individually_rational} "
@@ -1479,6 +1380,21 @@ def _cmd_solve(spec: RunSpec) -> int:
     if report.trace_path is not None:
         print(f"trace: {report.trace_path}")
     return 0
+
+
+_SPEC_COMMANDS = {
+    "fig6": _cmd_figure,
+    "fig7": _cmd_figure,
+    "fig8": _cmd_figure,
+    "toy": _cmd_toy,
+    "counterexample": _cmd_counterexample,
+    "distributed": _cmd_distributed,
+    "chaos": _cmd_chaos,
+    "swaps": _cmd_swaps,
+    "dynamic": _cmd_dynamic,
+    "report": _cmd_report,
+    "solve": _cmd_solve,
+}
 
 
 # ----------------------------------------------------------------------
@@ -1587,27 +1503,14 @@ def _cmd_solvers(args: argparse.Namespace) -> int:
 
 def _cmd_resume(args: argparse.Namespace) -> int:
     from repro.errors import CheckpointError
-    from repro.runtime import CheckpointStore, resume_run
+    from repro.runtime import resume_run
 
     try:
-        kind = CheckpointStore.open(args.run_dir).kind
         result = resume_run(args.run_dir, recorder=get_recorder())
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if kind == "dynamic":
-        print(
-            f"durable dynamic run complete in {args.run_dir} "
-            f"({result['epochs']} epochs, strategy {result['strategy']})"
-        )
-        print(
-            f"{result['strategy']:>5}: total welfare "
-            f"{result['total_welfare']:.2f}, incumbents moved "
-            f"{result['total_churned']}, protocol rounds "
-            f"{result['total_rounds']}"
-        )
-    else:
-        _print_durable_chaos_result(args.run_dir, result)
+    _print_durable_result(args.run_dir, result)
     return 0
 
 
@@ -1716,37 +1619,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Dispatch
 # ----------------------------------------------------------------------
-def _dispatch_spec(spec: RunSpec) -> int:
-    """Validate a RunSpec and execute its command implementation."""
-    from repro.errors import SpecError
-
-    try:
-        spec.validate()
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    command = spec.command
-    if command in ("fig6", "fig7", "fig8"):
-        return _cmd_figure(int(command[3]), spec)
-    if command == "toy":
-        return _cmd_toy(spec)
-    if command == "counterexample":
-        return _cmd_counterexample(spec)
-    if command == "distributed":
-        return _cmd_distributed(spec)
-    if command == "chaos":
-        return _cmd_chaos(spec)
-    if command == "swaps":
-        return _cmd_swaps(spec)
-    if command == "dynamic":
-        return _cmd_dynamic(spec)
-    if command == "report":
-        return _cmd_report(spec)
-    if command == "solve":
-        return _cmd_solve(spec)
-    raise AssertionError(f"unhandled spec command {command!r}")
-
-
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "solvers":
         return _cmd_solvers(args)
@@ -1763,106 +1635,23 @@ def _dispatch(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
-    from repro.errors import ObservabilityError, SpecError
-
-    spec: Optional[RunSpec] = None
+def _load_spec(args: argparse.Namespace) -> Optional[RunSpec]:
+    """The validated RunSpec a run command describes (None otherwise)."""
     if args.command == "run":
-        try:
-            with open(args.spec, "r", encoding="utf-8") as handle:
-                spec = RunSpec.from_json(handle.read())
-        except OSError as exc:
-            print(
-                f"error: cannot read spec file {args.spec!r}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        except SpecError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        with open(args.spec, "r", encoding="utf-8") as handle:
+            spec = RunSpec.from_json(handle.read())
     elif args.command in RUN_COMMANDS:
         spec = _spec_from_args(args)
-
-    if spec is not None and getattr(args, "dry_run", False):
-        print(spec.to_json(indent=2))
-        return 0
-
-    if spec is not None:
-        telemetry = spec.telemetry
-        profile = spec.profile
-        manifest_seed: Optional[int] = spec.market.seed
-        manifest_config: dict = spec.to_dict()
     else:
-        telemetry = TelemetrySpec.from_args(args)
-        profile = ProfileSpec.from_args(args)
-        manifest_seed = getattr(args, "seed", None)
-        manifest_config = {
-            key: value
-            for key, value in vars(args).items()
-            if key not in _OBS_FLAGS
-        }
+        return None
+    spec.validate()
+    return spec
 
-    try:
-        recorder = build_recorder(
-            telemetry,
-            profile=profile,
-            seed=manifest_seed,
-            config=manifest_config,
-        )
-    except OSError as exc:
-        print(
-            f"error: cannot open trace file {telemetry.trace_out!r}: {exc}",
-            file=sys.stderr,
-        )
-        return 2
 
-    engine = None
-    if telemetry.slo:
-        try:
-            engine = build_slo_engine(telemetry, recorder)
-        except ObservabilityError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            recorder.close()
-            return 2
-
-    server = None
-    if telemetry.serve_metrics is not None:
-        try:
-            server = start_telemetry_server(telemetry, recorder, engine)
-        except (ObservabilityError, OSError) as exc:
-            print(f"error: cannot serve telemetry: {exc}", file=sys.stderr)
-            recorder.close()
-            return 2
-        print(f"telemetry server listening on {server.url}", file=sys.stderr)
-
-    profiler = build_profiler(
-        profile, recorder, meta={"command": args.command}
-    )
-    try:
-        with recorder, use_recorder(recorder):
-            if profiler is not None:
-                profiler.start()
-            if spec is not None:
-                exit_code = _dispatch_spec(spec)
-            else:
-                exit_code = _dispatch(args)
-            if profiler is not None:
-                profiler.stop()
-            if engine is not None:
-                # Final evaluation happens inside the recorder context so
-                # slo.violated events reach the trace before it closes.
-                engine.evaluate(final=True)
-    finally:
-        if server is not None:
-            hold = float(telemetry.serve_hold)
-            if hold > 0:
-                import time
-
-                time.sleep(hold)
-            server.stop()
-
+def _report_telemetry(stack: ObservabilityStack, exit_code: int) -> int:
+    """Render what the torn-down stack produced; return the exit code."""
+    telemetry = stack.telemetry
+    engine = stack.slo_engine
     if engine is not None:
         for rule_text, count in engine.violation_counts.items():
             print(
@@ -1872,38 +1661,66 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         exit_code = max(exit_code, engine.exit_code())
     if telemetry.metrics:
         print("\n-- observability summary --")
-        print(format_metrics_summary(recorder))
+        print(format_metrics_summary(stack.recorder))
     if telemetry.metrics_out is not None:
-        from repro.ioutil import atomic_write_text
-        from repro.trace.export import to_openmetrics
-
-        try:
-            atomic_write_text(
-                telemetry.metrics_out,
-                to_openmetrics(recorder.metrics.snapshot()),
-            )
-        except OSError as exc:
-            print(
-                f"error: cannot write metrics file "
-                f"{telemetry.metrics_out!r}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
         print(f"metrics written to {telemetry.metrics_out}")
-    if profiler is not None and profiler.payload is not None:
-        try:
-            profiler.write()
-        except OSError as exc:
-            print(
-                f"error: cannot write profile to "
-                f"{profile.profile_out!r}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        print(f"profile written to {profile.profile_out}")
+    if stack.profiler is not None:
+        print(f"profile written to {stack.profile.profile_out}")
     if telemetry.trace_out is not None:
         print(f"trace written to {telemetry.trace_out}")
     return exit_code
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """CLI entry point; returns the process exit code."""
+    args = build_parser().parse_args(argv)
+    from repro.errors import ObservabilityError, SpecError
+
+    try:
+        spec = _load_spec(args)
+    except OSError as exc:
+        print(
+            f"error: cannot read spec file {args.spec!r}: {exc}",
+            file=sys.stderr,
+        )
+        return 2
+    except SpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if spec is not None and getattr(args, "dry_run", False):
+        print(spec.to_json(indent=2))
+        return 0
+
+    if spec is not None:
+        session = Session(spec)
+        scope, stack = session, session.stack
+    else:
+        stack = scope = ObservabilityStack(
+            TelemetrySpec.from_args(args),
+            ProfileSpec.from_args(args),
+            seed=getattr(args, "seed", None),
+            config={
+                key: value
+                for key, value in vars(args).items()
+                if key not in _OBS_FLAGS
+            },
+            meta={"command": args.command},
+        )
+    try:
+        with scope:
+            if stack.server is not None:
+                print(
+                    f"telemetry server listening on {stack.server.url}",
+                    file=sys.stderr,
+                )
+            if spec is not None:
+                exit_code = _SPEC_COMMANDS[spec.command](session)
+            else:
+                exit_code = _dispatch(args)
+    except (ObservabilityError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return _report_telemetry(stack, exit_code)
 
 
 if __name__ == "__main__":

@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.core.deferred_acceptance import StageOneResult
+from repro.core.deferred_acceptance import StageOneResult, deferred_acceptance
 from repro.core.market import SpectrumMarket
 from repro.core.matching import Matching
 from repro.core.transfer_invitation import StageTwoResult, transfer_and_invitation
-from repro.obs.recorder import Recorder
+from repro.engine.validation import matching_welfare
+from repro.obs.recorder import Recorder, resolve_recorder
 
 __all__ = ["TwoStageResult", "run_two_stage", "iterate_stage_two"]
 
@@ -138,16 +139,53 @@ def run_two_stage(
         (Propositions 3-4; asserted by the test suite rather than at
         runtime for speed).
 
-    This is now a shim over
-    :func:`repro.run.session.execute_two_stage`, which holds the
-    execution body; the emitted event stream is unchanged (locked
-    byte-for-byte by the golden-trace test).
+    The emitted event stream is locked byte-for-byte by the golden-trace
+    test.
     """
-    from repro.run.session import execute_two_stage
-
-    return execute_two_stage(
-        market,
-        record_trace=record_trace,
-        monotone_guard=monotone_guard,
-        recorder=recorder,
+    rec = resolve_recorder(recorder)
+    utilities = market.utilities
+    if rec.enabled:
+        rec.emit(
+            "two_stage.start",
+            buyers=market.num_buyers,
+            channels=market.num_channels,
+        )
+    with rec.span("two_stage"):
+        stage_one = deferred_acceptance(
+            market,
+            record_trace=record_trace,
+            monotone_guard=monotone_guard,
+            recorder=rec,
+        )
+        stage_two = transfer_and_invitation(
+            market, stage_one.matching, record_trace=record_trace, recorder=rec
+        )
+    result = TwoStageResult(
+        matching=stage_two.matching,
+        stage_one=stage_one,
+        stage_two=stage_two,
+        welfare_stage1=matching_welfare(utilities, stage_one.matching),
+        welfare_phase1=matching_welfare(utilities, stage_two.matching_after_phase1),
+        welfare_phase2=matching_welfare(utilities, stage_two.matching),
+        rounds_stage1=stage_one.num_rounds,
+        rounds_phase1=stage_two.num_transfer_rounds,
+        rounds_phase2=stage_two.num_invitation_rounds,
     )
+    if rec.enabled:
+        rec.emit(
+            "two_stage.result",
+            welfare_stage1=result.welfare_stage1,
+            welfare_phase1=result.welfare_phase1,
+            welfare_phase2=result.welfare_phase2,
+            rounds_stage1=result.rounds_stage1,
+            rounds_phase1=result.rounds_phase1,
+            rounds_phase2=result.rounds_phase2,
+            matched=result.matching.num_matched(),
+        )
+        metrics = rec.metrics
+        if metrics.enabled:
+            metrics.counter("two_stage.runs").inc()
+            metrics.gauge("two_stage.welfare_stage1").set(result.welfare_stage1)
+            metrics.gauge("two_stage.welfare_phase1").set(result.welfare_phase1)
+            metrics.gauge("two_stage.welfare_phase2").set(result.welfare_phase2)
+    return result

@@ -419,25 +419,27 @@ def run_distributed_matching(
         If the run fails to quiesce within its slot budget and
         ``on_timeout="raise"`` (e.g. under a lossy network without the
         ARQ transport, which the bare protocol does not tolerate).
-
-    This is now a shim over
-    :func:`repro.run.session.execute_distributed`, which holds the
-    execution body; behaviour and the emitted event stream are unchanged.
     """
-    from repro.run.session import execute_distributed
-
-    return execute_distributed(
+    if on_timeout not in ("raise", "degrade"):
+        raise ProtocolError(
+            f"on_timeout must be 'raise' or 'degrade', got {on_timeout!r}"
+        )
+    sim = build_distributed_simulation(
         market,
         policy=policy,
         network=network,
         seed=seed,
-        max_slots=max_slots,
         reliable_transport=reliable_transport,
         retransmit_interval=retransmit_interval,
         initial_matching=initial_matching,
         record_events=record_events,
         recorder=recorder,
         fault_schedule=fault_schedule,
-        deadline_slots=deadline_slots,
-        on_timeout=on_timeout,
     )
+    sim.emit_run_start()
+    bound = deadline_slots if deadline_slots is not None else max_slots
+    slots = sim.simulator.run(
+        max_slots=bound,
+        on_timeout="stop" if on_timeout == "degrade" else "raise",
+    )
+    return sim.finalize(slots)

@@ -126,11 +126,5 @@ def solve(
     recorder: Optional[Recorder] = None,
     config: Optional[Mapping[str, object]] = None,
 ) -> SolveReport:
-    """Convenience one-shot: ``get_solver(name).solve(market, ...)``.
-
-    A shim over :func:`repro.run.session.execute_solve`, which holds the
-    dispatch body; behaviour is unchanged.
-    """
-    from repro.run.session import execute_solve
-
-    return execute_solve(name, market, recorder=recorder, config=config)
+    """Convenience one-shot: ``get_solver(name).solve(market, ...)``."""
+    return get_solver(name).solve(market, recorder=recorder, config=config)

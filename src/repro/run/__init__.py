@@ -3,12 +3,12 @@
 ``repro.run`` is the single front door for executing anything in this
 repo.  A :class:`RunSpec` is a frozen, JSON-round-trippable description
 of a run -- market, engine, faults, telemetry, durability, parallelism --
-and :class:`Session` validates it, assembles the observability and
-durability stacks uniformly, and dispatches to the right execution
-engine.  The legacy entrypoints (``run_two_stage``,
-``run_distributed_matching``, ``OnlineMatcher.run``, the durable
-runners, ``registry.solve``) are thin shims over the ``execute_*``
-functions exported here.
+and :class:`Session` is the only code that turns one into a run: it
+validates the spec, assembles the observability stack on entry, tears
+it down on exit, and dispatches the command to the public entry points
+(``run_two_stage``, ``run_distributed_matching``, ``OnlineMatcher.run``,
+``registry.solve``, ``run_figure``, ``runtime.durable.run_durable``).
+The CLI's run subcommands and ``repro run SPEC.json`` go through it.
 """
 
 from repro.run.spec import (
@@ -24,15 +24,11 @@ from repro.run.spec import (
     WorkloadSpec,
 )
 from repro.run.session import (
+    ObservabilityStack,
     Session,
     build_market,
     build_recorder,
     build_slo_engine,
-    execute_distributed,
-    execute_durable,
-    execute_online_run,
-    execute_solve,
-    execute_two_stage,
     start_telemetry_server,
 )
 
@@ -48,13 +44,9 @@ __all__ = [
     "ParallelSpec",
     "RunSpec",
     "Session",
+    "ObservabilityStack",
     "build_market",
     "build_recorder",
     "build_slo_engine",
     "start_telemetry_server",
-    "execute_two_stage",
-    "execute_distributed",
-    "execute_online_run",
-    "execute_durable",
-    "execute_solve",
 ]

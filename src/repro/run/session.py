@@ -1,42 +1,44 @@
-"""The Session layer: one execution path for every kind of run.
+"""The Session layer: the one code path that turns a RunSpec into a run.
 
-Historically each entrypoint -- :func:`repro.core.two_stage.run_two_stage`,
-:func:`repro.distributed.protocol.run_distributed_matching`,
-:meth:`repro.dynamic.online.OnlineMatcher.run`, the durable runners in
-:mod:`repro.runtime.durable` and the registry's
-:func:`repro.engine.registry.solve` -- hand-plumbed recorders, fault
-schedules and checkpoint stores itself.  This module is now the single
-home of those execution bodies:
+:class:`Session` is a context manager around one :class:`~repro.run.spec.
+RunSpec`:
 
-* the ``execute_*`` functions hold the entrypoints' original bodies,
-  byte-for-byte in observable behaviour (the golden traces lock this);
-  the legacy entrypoints are thin deprecated shims over them;
-* :func:`build_recorder` / :func:`build_slo_engine` /
-  :func:`start_telemetry_server` assemble the observability stack from a
-  :class:`~repro.run.spec.TelemetrySpec` exactly the way the CLI always
-  did from flags;
-* :class:`Session` validates a :class:`~repro.run.spec.RunSpec` and
-  dispatches it to the right engine, returning the canonical result
-  object (``TwoStageResult``, ``DistributedResult``, ``SolveReport``,
-  epoch outcomes, or the durable result dict).
+* entering assembles the observability stack (:class:`ObservabilityStack`:
+  recorder, SLO engine, telemetry server, profiler) and installs the
+  recorder as the ambient one;
+* :meth:`Session.execute` dispatches the spec's command to the public
+  entry points (:func:`~repro.core.two_stage.run_two_stage`,
+  :func:`~repro.distributed.protocol.run_distributed_matching`,
+  :meth:`~repro.dynamic.online.OnlineMatcher.run`,
+  :func:`~repro.engine.registry.solve`,
+  :func:`~repro.analysis.paper_figures.run_figure` and
+  :func:`~repro.runtime.durable.run_durable`) and returns the canonical
+  result object;
+* exiting tears the stack down: final SLO evaluation, profile and
+  ``metrics_out`` writes, ``serve_hold`` and server stop.
 
-Durable runs store :meth:`RunSpec.durable_identity` as their manifest
-config, so the run directory's ``config_hash`` is the hash of the spec's
-canonical serialization -- resume compatibility is a spec-equality check.
+``Session(spec).run()`` is ``with session: return session.execute()``.
+The CLI wraps every spec command in the same ``with`` block and only
+renders the results; the non-spec commands use :class:`ObservabilityStack`
+directly.  Every component a run needs is built from its spec by one
+function here or on the spec (:func:`build_market`, :func:`build_policy`,
+:func:`build_generator`, :func:`protocol_arguments`,
+:meth:`~repro.run.spec.FaultSpec.build_network`,
+:meth:`~repro.run.spec.FaultSpec.build_schedule`), which the durable
+runner reuses when it rebuilds a run from its stored identity.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+import contextlib
+import time
+from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.core.deferred_acceptance import deferred_acceptance
-from repro.core.transfer_invitation import transfer_and_invitation
-from repro.core.two_stage import TwoStageResult
-from repro.distributed.protocol import build_distributed_simulation
-from repro.engine.validation import matching_welfare
-from repro.errors import ProtocolError, SpecError
+from repro.core.two_stage import run_two_stage
+from repro.distributed.protocol import run_distributed_matching
+from repro.errors import SpecError
 from repro.obs import (
     JsonlEventSink,
     MetricsRegistry,
@@ -44,224 +46,26 @@ from repro.obs import (
     RunRegistry,
     SpanTracer,
     build_manifest,
+    use_recorder,
 )
-from repro.obs.recorder import resolve_recorder
 from repro.run.spec import MarketSpec, ProfileSpec, RunSpec, TelemetrySpec
 
 __all__ = [
     "Session",
+    "ObservabilityStack",
     "build_market",
+    "build_policy",
+    "build_generator",
+    "protocol_arguments",
     "build_recorder",
     "build_profiler",
     "build_slo_engine",
     "start_telemetry_server",
-    "execute_two_stage",
-    "execute_distributed",
-    "execute_online_run",
-    "execute_durable",
-    "execute_solve",
 ]
 
 
 # ----------------------------------------------------------------------
-# Execution engines (the five legacy entrypoints' bodies live here)
-# ----------------------------------------------------------------------
-def execute_two_stage(
-    market,
-    record_trace: bool = True,
-    monotone_guard: bool = True,
-    recorder: Optional[Recorder] = None,
-) -> TwoStageResult:
-    """Run Algorithm 1 followed by Algorithm 2 on ``market``.
-
-    The execution body behind
-    :func:`repro.core.two_stage.run_two_stage`; see that shim for the
-    full parameter documentation.  The emitted event stream is locked
-    byte-for-byte by the golden-trace test.
-    """
-    rec = resolve_recorder(recorder)
-    utilities = market.utilities
-    if rec.enabled:
-        rec.emit(
-            "two_stage.start",
-            buyers=market.num_buyers,
-            channels=market.num_channels,
-        )
-    with rec.span("two_stage"):
-        stage_one = deferred_acceptance(
-            market,
-            record_trace=record_trace,
-            monotone_guard=monotone_guard,
-            recorder=rec,
-        )
-        stage_two = transfer_and_invitation(
-            market, stage_one.matching, record_trace=record_trace, recorder=rec
-        )
-    result = TwoStageResult(
-        matching=stage_two.matching,
-        stage_one=stage_one,
-        stage_two=stage_two,
-        welfare_stage1=matching_welfare(utilities, stage_one.matching),
-        welfare_phase1=matching_welfare(utilities, stage_two.matching_after_phase1),
-        welfare_phase2=matching_welfare(utilities, stage_two.matching),
-        rounds_stage1=stage_one.num_rounds,
-        rounds_phase1=stage_two.num_transfer_rounds,
-        rounds_phase2=stage_two.num_invitation_rounds,
-    )
-    if rec.enabled:
-        rec.emit(
-            "two_stage.result",
-            welfare_stage1=result.welfare_stage1,
-            welfare_phase1=result.welfare_phase1,
-            welfare_phase2=result.welfare_phase2,
-            rounds_stage1=result.rounds_stage1,
-            rounds_phase1=result.rounds_phase1,
-            rounds_phase2=result.rounds_phase2,
-            matched=result.matching.num_matched(),
-        )
-        metrics = rec.metrics
-        if metrics.enabled:
-            metrics.counter("two_stage.runs").inc()
-            metrics.gauge("two_stage.welfare_stage1").set(result.welfare_stage1)
-            metrics.gauge("two_stage.welfare_phase1").set(result.welfare_phase1)
-            metrics.gauge("two_stage.welfare_phase2").set(result.welfare_phase2)
-    return result
-
-
-def execute_distributed(
-    market,
-    policy=None,
-    network=None,
-    seed: int = 0,
-    max_slots: int = 1_000_000,
-    reliable_transport: bool = False,
-    retransmit_interval: int = 4,
-    initial_matching=None,
-    record_events: bool = False,
-    recorder: Optional[Recorder] = None,
-    fault_schedule=None,
-    deadline_slots: Optional[int] = None,
-    on_timeout: str = "raise",
-):
-    """Run the full message-level protocol on ``market``.
-
-    The execution body behind :func:`repro.distributed.protocol.
-    run_distributed_matching`; see that shim for the full parameter
-    documentation.
-    """
-    if on_timeout not in ("raise", "degrade"):
-        raise ProtocolError(
-            f"on_timeout must be 'raise' or 'degrade', got {on_timeout!r}"
-        )
-    sim = build_distributed_simulation(
-        market,
-        policy=policy,
-        network=network,
-        seed=seed,
-        reliable_transport=reliable_transport,
-        retransmit_interval=retransmit_interval,
-        initial_matching=initial_matching,
-        record_events=record_events,
-        recorder=recorder,
-        fault_schedule=fault_schedule,
-    )
-    sim.emit_run_start()
-    bound = deadline_slots if deadline_slots is not None else max_slots
-    slots = sim.simulator.run(
-        max_slots=bound,
-        on_timeout="stop" if on_timeout == "degrade" else "raise",
-    )
-    return sim.finalize(slots)
-
-
-def execute_online_run(matcher, epochs) -> List:
-    """Step ``matcher`` through a whole epoch list.
-
-    The execution body behind
-    :meth:`repro.dynamic.online.OnlineMatcher.run` (the matcher is
-    duck-typed: anything with ``step``/``strategy`` and the private
-    recorder slot works).  Emits the closing ``dynamic.run_end`` event so
-    the live run registry can mark the dynamic run finished.
-    """
-    outcomes = [matcher.step(epoch) for epoch in epochs]
-    rec = resolve_recorder(matcher._recorder)
-    if rec.enabled and outcomes:
-        rec.emit(
-            "dynamic.run_end",
-            strategy=matcher.strategy.value,
-            epochs=len(outcomes),
-            social_welfare=outcomes[-1].social_welfare,
-            total_churned=sum(o.churned for o in outcomes),
-            total_rounds=sum(o.rounds for o in outcomes),
-        )
-    return outcomes
-
-
-def execute_durable(
-    kind: str,
-    run_dir,
-    config: Dict[str, Any],
-    *,
-    seed: int,
-    recorder: Optional[Recorder] = None,
-    inject_stall_after: Optional[int] = None,
-) -> Dict[str, Any]:
-    """Run a durable (WAL + checkpoint) execution from scratch.
-
-    The execution body behind :func:`repro.runtime.durable.
-    run_durable_dynamic` and :func:`~repro.runtime.durable.
-    run_durable_chaos`.  ``config`` is either the legacy flat mapping
-    those shims document or a spec-shaped identity from
-    :meth:`~repro.run.spec.RunSpec.durable_identity`; the durable layer's
-    ``run_params`` normalizer accepts both, so old run directories keep
-    resuming.
-    """
-    from repro.runtime.checkpoint import CheckpointStore
-    from repro.runtime.durable import (
-        _DurableRun,
-        _build_chaos_simulation,
-        _build_dynamic_engine,
-        _drive_chaos,
-        _drive_dynamic,
-    )
-
-    if kind not in ("dynamic", "chaos"):
-        raise SpecError(f"unknown durable run kind {kind!r}")
-    store = CheckpointStore.create(
-        run_dir, kind=kind, seed=int(seed), config=config
-    )
-    run = _DurableRun(
-        store, recorder, fresh=True, inject_stall_after=inject_stall_after
-    )
-    try:
-        if kind == "dynamic":
-            generator, matcher = _build_dynamic_engine(store)
-            return _drive_dynamic(run, generator, matcher, start_index=0)
-        sim = _build_chaos_simulation(store, run.recorder)
-        sim.emit_run_start()
-        return _drive_chaos(run, sim)
-    finally:
-        run.close()
-
-
-def execute_solve(
-    name: str,
-    market,
-    *,
-    recorder: Optional[Recorder] = None,
-    config=None,
-):
-    """One-shot registry dispatch: ``get_solver(name).solve(market, ...)``.
-
-    The execution body behind :func:`repro.engine.registry.solve`.
-    """
-    from repro.engine.registry import get_solver
-
-    return get_solver(name).solve(market, recorder=recorder, config=config)
-
-
-# ----------------------------------------------------------------------
-# Uniform assembly: market, recorder, SLO engine, telemetry server
+# Run components, each built from its spec in one place
 # ----------------------------------------------------------------------
 def build_market(spec: MarketSpec):
     """Materialise a :class:`MarketSpec` into a live market instance."""
@@ -282,6 +86,59 @@ def build_market(spec: MarketSpec):
     raise SpecError(f"market.scenario: unknown scenario {spec.scenario!r}")
 
 
+def build_policy(name: str):
+    """The transition policy ``engine.options.policy`` names.
+
+    :meth:`RunSpec.validate` admits ``"both"`` for the ``distributed``
+    command, whose CLI compares the two policies; one run executes one
+    policy, so ``"both"`` is refused here.
+    """
+    from repro.distributed.transition import adaptive_policy, default_policy
+
+    if name == "both":
+        raise SpecError(
+            "engine.options.policy: a Session runs a single policy; "
+            "build one spec per policy for comparisons"
+        )
+    return adaptive_policy() if name == "adaptive" else default_policy()
+
+
+def build_generator(spec: MarketSpec):
+    """The epoch stream of a dynamic run's market and workload spec."""
+    from repro.dynamic.generator import DynamicMarketGenerator
+
+    workload = spec.workload
+    return DynamicMarketGenerator(
+        num_channels=spec.sellers,
+        initial_buyers=spec.buyers,
+        arrival_rate=workload.arrival_rate,
+        departure_prob=workload.departure_prob,
+        drift_sigma=workload.drift,
+        rng=np.random.default_rng(spec.seed),
+    )
+
+
+def protocol_arguments(spec: RunSpec, policy: str) -> Dict[str, Any]:
+    """The protocol-construction arguments of ``spec`` under ``policy``.
+
+    The keyword arguments :func:`~repro.distributed.protocol.
+    build_distributed_simulation` and :func:`~repro.distributed.protocol.
+    run_distributed_matching` share: transition policy, lossy network
+    (with the ARQ transport it needs), seed and fault schedule.
+    """
+    network = spec.faults.build_network()
+    return {
+        "policy": build_policy(policy),
+        "network": network,
+        "seed": spec.market.seed,
+        "reliable_transport": network is not None,
+        "fault_schedule": spec.faults.build_schedule(),
+    }
+
+
+# ----------------------------------------------------------------------
+# The observability stack
+# ----------------------------------------------------------------------
 def build_recorder(
     telemetry: TelemetrySpec,
     *,
@@ -346,22 +203,17 @@ def build_profiler(
 
 
 def build_slo_engine(telemetry: TelemetrySpec, recorder: Recorder):
-    """Instantiate the SLO engine (or None) and attach it to the recorder.
+    """Instantiate the SLO engine over ``recorder`` (or None).
 
-    Raises :class:`~repro.errors.ObservabilityError` for malformed rules,
-    exactly like the CLI always did.
+    Raises :class:`~repro.errors.ObservabilityError` for malformed rules.
     """
     if not telemetry.slo:
         return None
     from repro.obs import SloEngine
 
-    engine = SloEngine(
+    return SloEngine(
         list(telemetry.slo), recorder, policy=telemetry.slo_policy
     )
-    # Commands with a natural baseline (chaos's fault-free twin,
-    # distributed's centralised welfare) install references here.
-    recorder.slo_engine = engine
-    return engine
 
 
 def start_telemetry_server(
@@ -378,20 +230,113 @@ def start_telemetry_server(
     ).start()
 
 
+class ObservabilityStack:
+    """A run's recorder, SLO engine, telemetry server and profiler.
+
+    Entering assembles the stack from ``telemetry`` and ``profile`` and
+    installs the recorder as the ambient one (an injected ``recorder`` is
+    used as is and left open).  Exiting tears it down in one order:
+
+    1. stop the profiler; on success evaluate the SLOs one final time,
+       write the profile and write ``telemetry.metrics_out`` (OpenMetrics)
+       -- all while the recorder is still ambient, so ``slo.violated``
+       events reach the trace;
+    2. restore the previous ambient recorder and close an owned one;
+    3. hold the telemetry server for ``telemetry.serve_hold`` seconds,
+       then stop it.
+
+    ``seed`` and ``config`` go into the trace manifest; ``meta`` into the
+    profile.
+    """
+
+    def __init__(
+        self,
+        telemetry: TelemetrySpec,
+        profile: Optional[ProfileSpec] = None,
+        *,
+        seed: Optional[int] = None,
+        config: Optional[Dict[str, Any]] = None,
+        meta: Optional[Dict[str, Any]] = None,
+        recorder: Optional[Recorder] = None,
+    ) -> None:
+        self.telemetry = telemetry
+        self.profile = profile
+        self._seed = seed
+        self._config = config
+        self._meta = meta
+        self._owns_recorder = recorder is None
+        self.recorder = recorder
+        self.slo_engine = None
+        self.server = None
+        self.profiler = None
+        self._scope: Optional[contextlib.ExitStack] = None
+
+    def __enter__(self) -> "ObservabilityStack":
+        with contextlib.ExitStack() as scope:
+            scope.callback(self._release_server)
+            if self._owns_recorder:
+                self.recorder = build_recorder(
+                    self.telemetry,
+                    profile=self.profile,
+                    seed=self._seed,
+                    config=self._config,
+                )
+                scope.callback(self.recorder.close)
+            self.slo_engine = build_slo_engine(self.telemetry, self.recorder)
+            self.server = start_telemetry_server(
+                self.telemetry, self.recorder, self.slo_engine
+            )
+            scope.enter_context(use_recorder(self.recorder))
+            self.profiler = build_profiler(
+                self.profile, self.recorder, meta=self._meta
+            )
+            if self.profiler is not None:
+                self.profiler.start()
+            self._scope = scope.pop_all()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        scope, self._scope = self._scope, None
+        with scope:
+            if self.profiler is not None:
+                self.profiler.stop()
+            if exc_type is not None:
+                return
+            if self.slo_engine is not None:
+                self.slo_engine.evaluate(final=True)
+            if self.profiler is not None:
+                self.profiler.write()
+            if self.telemetry.metrics_out is not None:
+                from repro.ioutil import atomic_write_text
+                from repro.trace.export import to_openmetrics
+
+                atomic_write_text(
+                    self.telemetry.metrics_out,
+                    to_openmetrics(self.recorder.metrics.snapshot()),
+                )
+
+    def _release_server(self) -> None:
+        if self.server is None:
+            return
+        if self.telemetry.serve_hold > 0:
+            time.sleep(float(self.telemetry.serve_hold))
+        self.server.stop()
+
+
 # ----------------------------------------------------------------------
-# The Session runner
+# The Session
 # ----------------------------------------------------------------------
 class Session:
     """Validate a :class:`RunSpec` and execute it through one pipeline.
 
     ``Session(spec).run()`` is the programmatic equivalent of the CLI:
-    it validates the spec, assembles the recorder stack from
-    ``spec.telemetry`` (unless a live ``recorder`` is injected), builds
-    the market, dispatches to the right execution engine and returns the
-    canonical result object:
+    it validates the spec, assembles the observability stack from
+    ``spec.telemetry``/``spec.profile`` (see :class:`ObservabilityStack`),
+    builds the market, dispatches to the right entry point and returns
+    the canonical result object:
 
     ========================  ===========================================
-    spec.command              return value of :meth:`run`
+    spec.command              return value of :meth:`execute`
     ========================  ===========================================
     ``toy`` / ``counterexample``  :class:`~repro.core.two_stage.TwoStageResult`
     ``solve``                 :class:`~repro.engine.report.SolveReport`
@@ -407,9 +352,13 @@ class Session:
     ``report`` is a CLI-only composite and is rejected with a
     :class:`~repro.errors.SpecError`.
 
-    Keyword overrides (``recorder``, ``market``, ``policy``, ``network``,
-    ``initial_matching``, ``fault_schedule``) let advanced callers swap
-    in pre-built components; everything omitted is derived from the spec.
+    ``recorder`` injects a live recorder (used as is, never closed);
+    ``market`` injects a pre-built market.  Everything else comes from
+    the spec.  Composites enter the session and call :meth:`execute`
+    and the public entry points inside the ``with`` block::
+
+        with Session(spec) as session:
+            result = session.execute()
     """
 
     def __init__(
@@ -418,86 +367,102 @@ class Session:
         *,
         recorder: Optional[Recorder] = None,
         market=None,
-        policy=None,
-        network=None,
-        initial_matching=None,
-        fault_schedule=None,
     ) -> None:
         spec.validate()
         self.spec = spec
         self._market = market
-        self._policy = policy
-        self._network = network
-        self._initial_matching = initial_matching
-        self._fault_schedule = fault_schedule
-        self._owns_recorder = recorder is None
-        if recorder is None:
-            recorder = build_recorder(
-                spec.telemetry,
-                profile=spec.profile,
-                seed=spec.market.seed,
-                config=spec.to_dict(),
-            )
-        self.recorder = recorder
+        self.stack = ObservabilityStack(
+            spec.telemetry,
+            spec.profile,
+            seed=spec.market.seed,
+            config=spec.to_dict(),
+            meta={"command": spec.command, "spec_hash": spec.spec_hash()},
+            recorder=recorder,
+        )
 
     # ------------------------------------------------------------------
     @property
+    def recorder(self) -> Optional[Recorder]:
+        """The run's recorder (None before an owned stack is entered)."""
+        return self.stack.recorder
+
+    @property
+    def slo_engine(self):
+        """The run's SLO engine, or None without ``telemetry.slo``."""
+        return self.stack.slo_engine
+
+    @property
     def market(self):
-        """The spec's market, built lazily and cached."""
+        """The spec's market, built once (emitting ``market.created``)."""
         if self._market is None:
             self._market = build_market(self.spec.market)
+            recorder = self.recorder
+            if recorder is not None and recorder.enabled:
+                recorder.emit(
+                    "market.created",
+                    scenario=self.spec.market.scenario,
+                    buyers=self._market.num_buyers,
+                    channels=self._market.num_channels,
+                )
         return self._market
 
     # ------------------------------------------------------------------
+    def __enter__(self) -> "Session":
+        self.stack.__enter__()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.stack.__exit__(exc_type, exc, tb)
+
     def run(self):
         """Execute the spec and return the canonical result object."""
-        from repro.obs import use_recorder
-
-        spec = self.spec
-        slo_engine = build_slo_engine(spec.telemetry, self.recorder)
-        server = start_telemetry_server(
-            spec.telemetry, self.recorder, slo_engine
-        )
-        profiler = build_profiler(
-            spec.profile,
-            self.recorder,
-            meta={"command": spec.command, "spec_hash": spec.spec_hash()},
-        )
-        try:
-            if profiler is not None:
-                profiler.start()
-            if self._owns_recorder:
-                with self.recorder, use_recorder(self.recorder):
-                    result = self._dispatch()
-                    if slo_engine is not None:
-                        slo_engine.evaluate(final=True)
-            else:
-                with use_recorder(self.recorder):
-                    result = self._dispatch()
-                    if slo_engine is not None:
-                        slo_engine.evaluate(final=True)
-            if profiler is not None:
-                profiler.stop()
-                profiler.write()
-                profiler = None
-        finally:
-            if profiler is not None:  # an exception unwound the dispatch
-                profiler.stop()
-            if server is not None:
-                server.stop()
-        return result
+        with self:
+            return self.execute()
 
     # ------------------------------------------------------------------
-    def _dispatch(self):
-        command = self.spec.command
+    def execute(self):
+        """Dispatch the spec's command and return its result.
+
+        Call inside the ``with`` block, so the run reports to the
+        session's recorder.
+        """
+        spec = self.spec
+        command = spec.command
+        if spec.durability.durable and command in (
+            "distributed",
+            "chaos",
+            "dynamic",
+        ):
+            from repro.runtime.durable import run_durable
+
+            return run_durable(spec, recorder=self.recorder)
         if command in ("toy", "counterexample"):
-            return execute_two_stage(self.market)
+            return run_two_stage(self.market)
         if command == "solve":
-            return self._run_solve()
+            from repro.engine.registry import solve
+
+            return solve(
+                spec.engine.name,
+                self.market,
+                recorder=self.recorder,
+                config=dict(spec.engine.options) or None,
+            )
         if command in ("distributed", "chaos"):
-            return self._run_distributed()
+            return run_distributed_matching(
+                self.market,
+                **protocol_arguments(
+                    spec, spec.engine.options.get("policy", "default")
+                ),
+                max_slots=int(spec.engine.options.get("max_slots", 1_000_000)),
+                recorder=self.recorder,
+                deadline_slots=spec.faults.deadline_slots,
+                on_timeout=spec.faults.on_timeout,
+            )
         if command == "swaps":
-            return self._run_swaps()
+            from repro.core.swap_extension import coordinated_swaps
+
+            result = run_two_stage(self.market, record_trace=False)
+            return coordinated_swaps(self.market, result.matching)
         if command == "dynamic":
             return self._run_dynamic()
         if command in ("fig6", "fig7", "fig8"):
@@ -507,120 +472,21 @@ class Session:
             f"(the 'report' composite is CLI-only)"
         )
 
-    def _run_solve(self):
-        spec = self.spec
-        options = dict(spec.engine.options)
-        return execute_solve(
-            spec.engine.name,
-            self.market,
-            recorder=self.recorder,
-            config=options or None,
-        )
-
-    def _resolve_policy(self):
-        from repro.distributed.transition import (
-            adaptive_policy,
-            default_policy,
-        )
-
-        if self._policy is not None:
-            return self._policy
-        name = self.spec.engine.options.get("policy", "default")
-        if name == "both":
-            raise SpecError(
-                "engine.options.policy: a Session runs a single policy; "
-                "build one spec per policy for comparisons"
-            )
-        if name not in ("default", "adaptive"):
-            raise SpecError(
-                f"engine.options.policy: must be 'default' or 'adaptive', "
-                f"got {name!r}"
-            )
-        return adaptive_policy() if name == "adaptive" else default_policy()
-
-    def _resolve_network(self):
-        if self._network is not None:
-            return self._network, True
-        loss = float(self.spec.faults.loss)
-        if loss > 0.0:
-            from repro.distributed.network import LossyNetwork
-
-            return LossyNetwork(loss), True
-        return None, False
-
-    def _run_distributed(self):
-        spec = self.spec
-        if spec.durability.durable:
-            return execute_durable(
-                "chaos",
-                spec.durability.checkpoint_dir,
-                spec.durable_identity(),
-                seed=spec.market.seed,
-                recorder=self.recorder,
-                inject_stall_after=spec.durability.inject_stall_after,
-            )
-        policy = self._resolve_policy()
-        network, reliable = self._resolve_network()
-        schedule = (
-            self._fault_schedule
-            if self._fault_schedule is not None
-            else spec.faults.build_schedule()
-        )
-        return execute_distributed(
-            self.market,
-            policy=policy,
-            network=network,
-            seed=spec.market.seed,
-            max_slots=int(spec.engine.options.get("max_slots", 1_000_000)),
-            reliable_transport=reliable,
-            initial_matching=self._initial_matching,
-            recorder=self.recorder,
-            fault_schedule=schedule,
-            deadline_slots=spec.faults.deadline_slots,
-            on_timeout=spec.faults.on_timeout,
-        )
-
-    def _run_swaps(self):
-        from repro.core.swap_extension import coordinated_swaps
-
-        result = execute_two_stage(self.market, record_trace=False)
-        return coordinated_swaps(self.market, result.matching)
-
     def _run_dynamic(self):
-        spec = self.spec
-        workload = spec.market.workload
-        if spec.durability.durable:
-            return execute_durable(
-                "dynamic",
-                spec.durability.checkpoint_dir,
-                spec.durable_identity(),
-                seed=spec.market.seed,
-                recorder=self.recorder,
-                inject_stall_after=spec.durability.inject_stall_after,
-            )
-        from repro.dynamic.generator import DynamicMarketGenerator
         from repro.dynamic.online import OnlineMatcher, RematchStrategy
 
+        workload = self.spec.market.workload
         strategies = (
             list(RematchStrategy)
             if workload.strategy == "both"
             else [RematchStrategy(workload.strategy)]
         )
-        results = {}
-        for strategy in strategies:
-            generator = DynamicMarketGenerator(
-                num_channels=spec.market.sellers,
-                initial_buyers=spec.market.buyers,
-                arrival_rate=workload.arrival_rate,
-                departure_prob=workload.departure_prob,
-                drift_sigma=workload.drift,
-                rng=np.random.default_rng(spec.market.seed),
+        return {
+            strategy: OnlineMatcher(strategy, recorder=self.recorder).run(
+                build_generator(self.spec.market).epochs(workload.epochs)
             )
-            matcher = OnlineMatcher(strategy, recorder=self.recorder)
-            results[strategy] = execute_online_run(
-                matcher, generator.epochs(workload.epochs)
-            )
-        return results
+            for strategy in strategies
+        }
 
     def _run_figure(self):
         from repro.analysis.paper_figures import figure_spec, run_figure

@@ -78,6 +78,7 @@ _SCENARIOS = ("paper", "toy", "counterexample")
 _STRATEGIES = ("warm", "cold", "both")
 _SLO_POLICIES = ("warn", "fail")
 _TIMEOUT_MODES = ("raise", "degrade")
+_POLICIES = ("default", "adaptive")
 
 
 # ----------------------------------------------------------------------
@@ -332,6 +333,18 @@ class FaultSpec:
             partitions=[PartitionFault.parse(s) for s in self.partitions],
         )
         return None if schedule.empty else schedule
+
+    def build_network(self):
+        """A ``LossyNetwork`` for a positive ``loss`` rate (else None).
+
+        A lossy run always rides the ARQ transport, so a run's
+        ``reliable_transport`` is ``build_network() is not None``.
+        """
+        if self.loss <= 0.0:
+            return None
+        from repro.distributed.network import LossyNetwork
+
+        return LossyNetwork(float(self.loss))
 
 
 @dataclass(frozen=True)
@@ -611,6 +624,15 @@ class RunSpec:
         self.profile.validate()
         self.durability.validate()
         self.parallel.validate()
+        if "policy" in self.engine.options:
+            # "both" is the distributed command's policy comparison; every
+            # other run executes exactly one transition policy.
+            _check_choice(
+                "engine.options",
+                "policy",
+                self.engine.options["policy"],
+                _POLICIES + (("both",) if self.command == "distributed" else ()),
+            )
         if self.command == "dynamic":
             if self.market.workload is None:
                 raise SpecError(
@@ -649,3 +671,55 @@ class RunSpec:
             "faults": self.faults.to_dict(),
             "checkpoint_every": self.durability.checkpoint_every,
         }
+
+    @classmethod
+    def from_durable_identity(
+        cls, identity: Any, checkpoint_dir: Optional[str] = None
+    ) -> "RunSpec":
+        """Rebuild the validated spec a :meth:`durable_identity` describes.
+
+        Telemetry, profiling and parallelism come back at their defaults
+        (they are not part of the identity).  A mapping of any other
+        shape -- notably the flat ``buyers``/``sellers``/``seed`` config
+        of durable runs written before the spec existed -- is rejected
+        with a :class:`~repro.errors.SpecError` naming the shape.
+        """
+        _require_mapping("durable identity", identity)
+        keys = (
+            "spec_schema",
+            "command",
+            "market",
+            "engine",
+            "faults",
+            "checkpoint_every",
+        )
+        if "market" not in identity:
+            raise SpecError(
+                "durable identity: a flat legacy config (keys "
+                + ", ".join(sorted(identity))
+                + ") is not the nested RunSpec.durable_identity() shape "
+                "this build reads"
+            )
+        _reject_unknown("durable identity", identity, keys)
+        missing = [key for key in keys if key not in identity]
+        if missing:
+            raise SpecError(
+                f"durable identity: missing field(s) {', '.join(missing)}"
+            )
+        if identity["spec_schema"] != SPEC_SCHEMA_VERSION:
+            raise SpecError(
+                f"durable identity: spec_schema {identity['spec_schema']!r} "
+                f"is not this build's {SPEC_SCHEMA_VERSION}"
+            )
+        spec = cls(
+            command=identity["command"],
+            market=MarketSpec.from_dict(identity["market"]),
+            engine=EngineSpec.from_dict(identity["engine"]),
+            faults=FaultSpec.from_dict(identity["faults"]),
+            durability=DurabilitySpec(
+                checkpoint_dir=checkpoint_dir,
+                checkpoint_every=identity["checkpoint_every"],
+            ),
+        )
+        spec.validate()
+        return spec

@@ -8,9 +8,10 @@ deterministic engines in :mod:`repro.dynamic` and :mod:`repro.distributed`:
   directory* holding a config-hashed manifest, a write-ahead log (one
   fsynced record per epoch/slot), atomic state snapshots, and the run's
   own event trace.
-* :mod:`repro.runtime.durable` -- durable runners that execute a dynamic
-  or distributed-chaos run while appending to the WAL and snapshotting
-  every N steps (``repro dynamic/chaos --checkpoint-dir``).
+* :mod:`repro.runtime.durable` -- :func:`run_durable`, which executes a
+  durable dynamic or distributed-chaos RunSpec while appending to the
+  WAL and snapshotting every N steps (``repro dynamic/chaos
+  --checkpoint-dir``, reached through :class:`repro.run.Session`).
 * :mod:`repro.runtime.resume` -- crash-consistent resume
   (``repro resume RUN_DIR``): reload the latest valid checkpoint,
   truncate the trace and WAL to the snapshot's recorded offsets, replay
@@ -28,7 +29,7 @@ run exactly.
 """
 
 from repro.runtime.checkpoint import CheckpointStore, config_hash
-from repro.runtime.durable import run_durable_chaos, run_durable_dynamic
+from repro.runtime.durable import run_durable
 from repro.runtime.resume import resume_run
 from repro.runtime.supervise import (
     RetryPolicy,
@@ -40,8 +41,7 @@ from repro.runtime.supervise import (
 __all__ = [
     "CheckpointStore",
     "config_hash",
-    "run_durable_dynamic",
-    "run_durable_chaos",
+    "run_durable",
     "resume_run",
     "RetryPolicy",
     "Supervisor",

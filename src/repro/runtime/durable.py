@@ -1,6 +1,9 @@
-"""Durable runners: execute a market run under WAL + checkpoint protection.
+"""Durable runs: execute a market run under WAL + checkpoint protection.
 
-These runners wrap the deterministic engines -- the epoch loop of
+:func:`run_durable` executes a durable :class:`~repro.run.spec.RunSpec`
+(``chaos``/``distributed`` or ``dynamic`` with
+``durability.checkpoint_dir`` set; :class:`~repro.run.session.Session`
+calls it) by wrapping the deterministic engines -- the epoch loop of
 :class:`~repro.dynamic.online.OnlineMatcher` and the slot loop of
 :class:`~repro.distributed.simulator.TimeSlottedSimulator` -- with the
 durability protocol of :mod:`repro.runtime.checkpoint`:
@@ -13,10 +16,13 @@ durability protocol of :mod:`repro.runtime.checkpoint`:
 3. every ``checkpoint_every`` records, the engine state is snapshotted
    atomically together with the trace's current byte length.
 
-Because the engines are pure functions of (config, seed), the WAL tail
-doubles as a verification oracle on resume: re-executed steps must
-reproduce the recorded outcomes bit for bit, or resume aborts with a
-:class:`~repro.errors.CheckpointError` instead of silently forking
+The run directory's manifest stores :meth:`RunSpec.durable_identity`;
+:func:`stored_spec` rebuilds the spec from it, so a fresh run and a
+resume build the market, protocol and epoch stream with the same Session
+builders.  Because the engines are pure functions of (config, seed), the
+WAL tail doubles as a verification oracle on resume: re-executed steps
+must reproduce the recorded outcomes bit for bit, or resume aborts with
+a :class:`~repro.errors.CheckpointError` instead of silently forking
 history.
 
 ``runtime.*`` lifecycle events and counters go to the *ambient* recorder
@@ -35,67 +41,33 @@ from __future__ import annotations
 
 import os
 import time
-from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, SpecError
 from repro.obs.events import EventSink, JsonlEventSink
 from repro.obs.manifest import build_manifest
 from repro.obs.recorder import Recorder, resolve_recorder
+from repro.run.spec import RunSpec
 from repro.runtime.checkpoint import CheckpointStore
 
-__all__ = ["run_durable_dynamic", "run_durable_chaos", "run_params"]
+__all__ = ["run_durable", "stored_spec"]
 
 
-def run_params(store: CheckpointStore) -> Dict[str, Any]:
-    """Normalise a run directory's stored config to the flat legacy keys.
+def stored_spec(store: CheckpointStore) -> RunSpec:
+    """The spec a run directory's manifest identity describes.
 
-    Durable run directories hold one of two config shapes: the legacy
-    flat mapping documented on :func:`run_durable_dynamic` /
-    :func:`run_durable_chaos`, or (since the Session layer) a
-    spec-shaped identity from
-    :meth:`repro.run.spec.RunSpec.durable_identity` with nested
-    ``market`` / ``engine`` / ``faults`` sections.  Every reader below
-    goes through this flattener, so both shapes build and resume
-    identically.
+    Raises :class:`~repro.errors.CheckpointError` for a config of any
+    other shape, such as the flat config of durable runs written before
+    the spec existed.
     """
-    config = store.config
-    if "market" not in config:
-        return dict(config)
-    params: Dict[str, Any] = {
-        "checkpoint_every": config.get("checkpoint_every", 0),
-    }
-    market = config.get("market", {})
-    for key in ("buyers", "sellers", "seed"):
-        if key in market:
-            params[key] = market[key]
-    workload = market.get("workload") or {}
-    for key in (
-        "epochs",
-        "arrival_rate",
-        "departure_prob",
-        "drift",
-        "strategy",
-    ):
-        if key in workload:
-            params[key] = workload[key]
-    options = config.get("engine", {}).get("options", {})
-    for key in ("policy", "max_slots"):
-        if key in options:
-            params[key] = options[key]
-    faults = config.get("faults", {})
-    for key in (
-        "loss",
-        "crashes",
-        "partitions",
-        "deadline_slots",
-        "on_timeout",
-    ):
-        if key in faults:
-            params[key] = faults[key]
-    return params
+    try:
+        return RunSpec.from_durable_identity(
+            store.config, checkpoint_dir=str(store.run_dir)
+        )
+    except SpecError as exc:
+        raise CheckpointError(
+            f"run directory {store.run_dir} cannot be rebuilt: {exc}"
+        ) from None
 
 
 class _TeeSink(EventSink):
@@ -125,6 +97,7 @@ class _DurableRun:
     def __init__(
         self,
         store: CheckpointStore,
+        spec: RunSpec,
         recorder: Optional[Recorder],
         fresh: bool,
         inject_stall_after: Optional[int],
@@ -136,11 +109,10 @@ class _DurableRun:
                 "run must run to completion"
             )
         self.store = store
+        self.spec = spec
         self.ambient = resolve_recorder(recorder)
         self.inject_stall_after = inject_stall_after
-        self.checkpoint_every = int(
-            run_params(store).get("checkpoint_every", 0) or 0
-        )
+        self.checkpoint_every = spec.durability.checkpoint_every
         #: All committed WAL records, prior (on resume) plus new.
         self.records: List[Dict[str, Any]] = list(prior_records or [])
         #: Recorded records past the restore point, used as the
@@ -235,31 +207,94 @@ class _DurableRun:
 
 
 # ----------------------------------------------------------------------
+# Execution
+# ----------------------------------------------------------------------
+def run_durable(
+    spec: RunSpec, recorder: Optional[Recorder] = None
+) -> Dict[str, Any]:
+    """Run a durable spec from scratch in ``durability.checkpoint_dir``.
+
+    ``dynamic`` specs run as epoch streams, ``chaos`` and
+    ``distributed`` specs as slot streams; ``runtime.*`` events go to
+    ``recorder`` (default: the ambient one).
+    """
+    spec.validate()
+    store = CheckpointStore.create(
+        spec.durability.checkpoint_dir,
+        kind="dynamic" if spec.command == "dynamic" else "chaos",
+        seed=spec.market.seed,
+        config=spec.durable_identity(),
+    )
+    run = _DurableRun(
+        store,
+        spec,
+        recorder,
+        fresh=True,
+        inject_stall_after=spec.durability.inject_stall_after,
+    )
+    try:
+        return _execute(run, checkpoint=None)
+    finally:
+        run.close()
+
+
+def _execute(run: _DurableRun, checkpoint: Optional[Dict[str, Any]]):
+    """Build the run's engine, restore ``checkpoint`` into it, and drive it.
+
+    The engine is rebuilt from ``run.spec`` with the Session builders;
+    without a checkpoint it starts from scratch.
+    """
+    from repro.run.session import (
+        build_generator,
+        build_market,
+        protocol_arguments,
+    )
+
+    spec = run.spec
+    kind = run.store.kind
+    if kind == "dynamic":
+        from repro.dynamic.online import OnlineMatcher, RematchStrategy
+
+        generator = build_generator(spec.market)
+        matcher = OnlineMatcher(
+            RematchStrategy(spec.market.workload.strategy)
+        )
+        start = 0
+        if checkpoint is not None:
+            generator.restore(checkpoint["state"]["generator"])
+            matcher.restore(checkpoint["state"]["matcher"])
+            start = checkpoint["wal_records"]
+        return _drive_dynamic(run, generator, matcher, start_index=start)
+    if kind == "chaos":
+        from repro.distributed.protocol import build_distributed_simulation
+
+        sim = build_distributed_simulation(
+            build_market(spec.market),
+            **protocol_arguments(
+                spec, spec.engine.options.get("policy", "default")
+            ),
+            recorder=run.recorder,
+        )
+        if checkpoint is None:
+            sim.emit_run_start()
+        else:
+            sim.simulator.restore_state(checkpoint["state"])
+        return _drive_chaos(run, sim)
+    raise CheckpointError(
+        f"run manifest declares unknown kind {kind!r}; this build can "
+        f"resume 'dynamic' and 'chaos' runs"
+    )
+
+
+# ----------------------------------------------------------------------
 # Dynamic (epoch-stream) runs
 # ----------------------------------------------------------------------
-def _build_dynamic_engine(store: CheckpointStore):
-    from repro.dynamic.generator import DynamicMarketGenerator
-    from repro.dynamic.online import OnlineMatcher, RematchStrategy
-
-    config = run_params(store)
-    generator = DynamicMarketGenerator(
-        num_channels=int(config["sellers"]),
-        initial_buyers=int(config["buyers"]),
-        arrival_rate=float(config["arrival_rate"]),
-        departure_prob=float(config["departure_prob"]),
-        drift_sigma=float(config["drift"]),
-        rng=np.random.default_rng(store.seed),
-    )
-    matcher = OnlineMatcher(RematchStrategy(config["strategy"]))
-    return generator, matcher
-
-
 def _drive_dynamic(
     run: _DurableRun, generator, matcher, start_index: int
 ) -> Dict[str, Any]:
     """Execute epochs ``start_index..epochs-1`` under WAL protection."""
     store = run.store
-    epochs = int(run_params(store)["epochs"])
+    epochs = run.spec.market.workload.epochs
     matcher._recorder = run.recorder  # route dynamic.epoch into the trace
     for index in range(start_index, epochs):
         epoch = generator.next_epoch()
@@ -313,85 +348,13 @@ def _drive_dynamic(
     return result
 
 
-def run_durable_dynamic(
-    run_dir: "os.PathLike",
-    config: Dict[str, Any],
-    recorder: Optional[Recorder] = None,
-    inject_stall_after: Optional[int] = None,
-) -> Dict[str, Any]:
-    """Run a dynamic market durably from scratch.
-
-    ``config`` keys: ``sellers``, ``buyers``, ``arrival_rate``,
-    ``departure_prob``, ``drift``, ``epochs``, ``seed``, ``strategy``
-    (``warm`` | ``cold``), ``checkpoint_every``.
-
-    A shim over :func:`repro.run.session.execute_durable`, which holds
-    the execution body; behaviour and the run-dir layout are unchanged.
-    """
-    from repro.run.session import execute_durable
-
-    return execute_durable(
-        "dynamic",
-        run_dir,
-        config,
-        seed=int(config["seed"]),
-        recorder=recorder,
-        inject_stall_after=inject_stall_after,
-    )
-
-
 # ----------------------------------------------------------------------
 # Distributed chaos (slot-stream) runs
 # ----------------------------------------------------------------------
-def _build_chaos_simulation(store: CheckpointStore, recorder: Recorder):
-    from repro.distributed.faults import (
-        CrashFault,
-        FaultSchedule,
-        PartitionFault,
-    )
-    from repro.distributed.protocol import build_distributed_simulation
-    from repro.distributed.transition import adaptive_policy, default_policy
-    from repro.workloads.scenarios import paper_simulation_market
-
-    config = run_params(store)
-    rng = np.random.default_rng(store.seed)
-    market = paper_simulation_market(
-        int(config["buyers"]), int(config["sellers"]), rng
-    )
-    policy = (
-        adaptive_policy()
-        if config.get("policy") == "adaptive"
-        else default_policy()
-    )
-    schedule = FaultSchedule(
-        crashes=[CrashFault.parse(s) for s in config.get("crashes", [])],
-        partitions=[
-            PartitionFault.parse(s) for s in config.get("partitions", [])
-        ],
-    )
-    network = None
-    reliable = False
-    loss = float(config.get("loss", 0.0))
-    if loss > 0.0:
-        from repro.distributed.network import LossyNetwork
-
-        network = LossyNetwork(loss)
-        reliable = True
-    return build_distributed_simulation(
-        market,
-        policy=policy,
-        network=network,
-        seed=store.seed,
-        reliable_transport=reliable,
-        recorder=recorder,
-        fault_schedule=schedule if not schedule.empty else None,
-    )
-
-
 def _drive_chaos(run: _DurableRun, sim) -> Dict[str, Any]:
     """Run the simulator to quiescence under WAL protection."""
     store = run.store
-    config = run_params(store)
+    spec = run.spec
     simulator = sim.simulator
 
     def on_slot(s) -> None:
@@ -409,13 +372,15 @@ def _drive_chaos(run: _DurableRun, sim) -> Dict[str, Any]:
         run.maybe_checkpoint(s.snapshot_state, codec="pickle")
         run.maybe_stall()
 
-    deadline = config.get("deadline_slots")
-    max_slots = int(config.get("max_slots", 1_000_000))
-    bound = int(deadline) if deadline is not None else max_slots
-    on_timeout = str(config.get("on_timeout", "degrade"))
+    deadline = spec.faults.deadline_slots
+    bound = (
+        deadline
+        if deadline is not None
+        else int(spec.engine.options.get("max_slots", 1_000_000))
+    )
     slots = simulator.run(
         max_slots=bound,
-        on_timeout="stop" if on_timeout == "degrade" else "raise",
+        on_timeout="stop" if spec.faults.on_timeout == "degrade" else "raise",
         on_slot=on_slot,
     )
     if run.verify_tail:
@@ -447,33 +412,3 @@ def _drive_chaos(run: _DurableRun, sim) -> Dict[str, Any]:
     }
     store.write_result(result)
     return result
-
-
-def run_durable_chaos(
-    run_dir: "os.PathLike",
-    config: Dict[str, Any],
-    recorder: Optional[Recorder] = None,
-    inject_stall_after: Optional[int] = None,
-) -> Dict[str, Any]:
-    """Run a distributed chaos market durably from scratch.
-
-    ``config`` keys: ``buyers``, ``sellers``, ``seed``, ``policy``
-    (``default`` | ``adaptive``), ``loss``, ``crashes`` /``partitions``
-    (lists of CLI fault-spec strings -- see
-    :meth:`~repro.distributed.faults.CrashFault.parse`),
-    ``deadline_slots``, ``on_timeout``, ``max_slots``,
-    ``checkpoint_every``.
-
-    A shim over :func:`repro.run.session.execute_durable`, which holds
-    the execution body; behaviour and the run-dir layout are unchanged.
-    """
-    from repro.run.session import execute_durable
-
-    return execute_durable(
-        "chaos",
-        run_dir,
-        config,
-        seed=int(config["seed"]),
-        recorder=recorder,
-        inject_stall_after=inject_stall_after,
-    )

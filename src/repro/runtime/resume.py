@@ -37,13 +37,7 @@ from typing import Any, Dict, Optional
 from repro.errors import CheckpointError
 from repro.obs.recorder import Recorder, resolve_recorder
 from repro.runtime.checkpoint import CheckpointStore
-from repro.runtime.durable import (
-    _build_chaos_simulation,
-    _build_dynamic_engine,
-    _drive_chaos,
-    _drive_dynamic,
-    _DurableRun,
-)
+from repro.runtime.durable import _DurableRun, _execute, stored_spec
 
 __all__ = ["resume_run"]
 
@@ -83,6 +77,7 @@ def resume_run(
             )
         return store.read_result()
 
+    spec = stored_spec(store)
     checkpoint = store.latest_checkpoint()
     records, valid_bytes = store.read_wal()
     store.truncate_wal(valid_bytes)  # repair a torn tail either way
@@ -122,6 +117,7 @@ def resume_run(
 
     run = _DurableRun(
         store,
+        spec,
         recorder,
         fresh=fresh,
         inject_stall_after=None,
@@ -129,22 +125,6 @@ def resume_run(
     )
     run.verify_tail = {int(r["index"]): r for r in tail}
     try:
-        if store.kind == "dynamic":
-            generator, matcher = _build_dynamic_engine(store)
-            if checkpoint is not None:
-                generator.restore(checkpoint["state"]["generator"])
-                matcher.restore(checkpoint["state"]["matcher"])
-            return _drive_dynamic(run, generator, matcher, start_index=start)
-        if store.kind == "chaos":
-            sim = _build_chaos_simulation(store, run.recorder)
-            if checkpoint is None:
-                sim.emit_run_start()
-            else:
-                sim.simulator.restore_state(checkpoint["state"])
-            return _drive_chaos(run, sim)
-        raise CheckpointError(
-            f"run manifest declares unknown kind {store.kind!r}; this "
-            f"build can resume 'dynamic' and 'chaos' runs"
-        )
+        return _execute(run, checkpoint)
     finally:
         run.close()

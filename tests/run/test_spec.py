@@ -277,3 +277,20 @@ class TestDurableIdentity:
         assert config_hash(changed.durable_identity()) != config_hash(
             spec.durable_identity()
         )
+
+    def test_identity_rebuilds_the_spec(self):
+        spec = _full_spec()
+        rebuilt = RunSpec.from_durable_identity(
+            spec.durable_identity(), checkpoint_dir="run-dir"
+        )
+        assert rebuilt.durable_identity() == spec.durable_identity()
+        assert rebuilt.durability.checkpoint_dir == "run-dir"
+        assert rebuilt.telemetry == TelemetrySpec()
+
+    def test_flat_legacy_identity_named_in_the_error(self):
+        with pytest.raises(SpecError, match="flat legacy config"):
+            RunSpec.from_durable_identity({"buyers": 4, "seed": 1})
+        identity = _full_spec().durable_identity()
+        del identity["faults"]
+        with pytest.raises(SpecError, match="missing field"):
+            RunSpec.from_durable_identity(identity)
