@@ -29,6 +29,11 @@ from repro.engine.registry import get_solver
 from repro.errors import SpectrumMatchingError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import Recorder, resolve_recorder, use_recorder
+from repro.prof.counters import (
+    merge_cost_counters,
+    reset_cost_counters,
+    snapshot_cost_counters,
+)
 from repro.workloads.scenarios import paper_simulation_market
 from repro.workloads.similarity import average_pairwise_srcc
 from repro.workloads.utilities import permutation_level_for_similarity
@@ -187,9 +192,11 @@ def _run_repetition(task: _RepetitionTask) -> Dict[str, object]:
     ``task.collect_metrics`` is set (parallel sweeps under a live
     ambient recorder), the repetition runs under a local, process-private
     :class:`MetricsRegistry` whose snapshot is returned with the sample
-    for the parent to merge -- per-round *events* are not streamed back
-    (the parent's sink would interleave workers non-deterministically);
-    only metrics cross the process boundary.
+    for the parent to merge, together with the repetition's own kernel
+    cost counts (reset before, snapshotted after) -- per-round *events*
+    are not streamed back (the parent's sink would interleave workers
+    non-deterministically); only metrics and counters cross the process
+    boundary.
     """
     rng = _rng_for(task.axis, task.seed, task.value_index, task.repetition)
     market = paper_simulation_market(
@@ -203,9 +210,16 @@ def _run_repetition(task: _RepetitionTask) -> Dict[str, object]:
         out["srcc"] = average_pairwise_srcc(market.utilities)
     if task.collect_metrics:
         registry = MetricsRegistry()
+        outer_counts = snapshot_cost_counters()
+        reset_cost_counters()
         with use_recorder(Recorder(metrics=registry)):
             _measure(task, market, out)
         out["metrics"] = registry.snapshot()
+        out["counters"] = snapshot_cost_counters()
+        # parallel_map runs a lone task in-process: restore the caller's
+        # counts so the parent's merge adds this repetition's once.
+        reset_cost_counters()
+        merge_cost_counters(outer_counts)
     else:
         _measure(task, market, out)
     return out
@@ -218,9 +232,10 @@ def _run_tasks(
 
     The serial path (``resolve_jobs(jobs) == 1``) executes in-process
     under the ambient recorder, byte-identical to the historical sweeps.
-    The parallel path asks workers to collect local metric snapshots iff
-    the ambient metrics registry is live, then merges them in submission
-    order so parallel and serial runs report the same aggregate metrics.
+    The parallel path asks workers to collect local metric snapshots and
+    kernel cost counts iff the ambient metrics registry is live, then
+    merges them in submission order so parallel and serial runs report
+    the same aggregate metrics and cost counters.
     """
     worker_count = resolve_jobs(jobs)
     if worker_count == 1:
@@ -235,6 +250,7 @@ def _run_tasks(
     if collect:
         for sample in results:
             recorder.metrics.merge(sample.pop("metrics"))
+            merge_cost_counters(sample.pop("counters"))
     return results
 
 

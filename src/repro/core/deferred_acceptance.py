@@ -178,7 +178,7 @@ def _deferred_acceptance_impl(
     rec: Optional[Recorder] = None,
 ) -> StageOneResult:
     observing = rec is not None and rec.enabled
-    emitting = observing and rec.events.enabled
+    emitting = observing and (rec.events.enabled or rec.runs.enabled)
     # A null registry returns a no-op timer, so this is safe to enter even
     # when only events or spans are live.
     mwis_timer = rec.metrics.timer("stage1.mwis_solve_s") if observing else None
@@ -268,7 +268,7 @@ def _deferred_acceptance_impl(
             if record_trace:
                 rounds.append(record)
             if emitting:
-                rec.events.emit(round_to_event(record))
+                rec.forward(round_to_event(record))
         if observing:
             rec.metrics.counter("stage1.evictions").inc(len(evictions))
             rec.metrics.counter("stage1.rejections").inc(len(rejections))

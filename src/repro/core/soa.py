@@ -681,7 +681,7 @@ def batched_deferred_acceptance(
     of fields via the caller in :mod:`repro.core.deferred_acceptance`.
     """
     observing = rec is not None and rec.enabled
-    emitting = observing and rec.events.enabled
+    emitting = observing and (rec.events.enabled or rec.runs.enabled)
     mwis_timer = rec.metrics.timer("stage1.mwis_solve_s") if observing else None
 
     soa = MarketSoA(market)
@@ -778,7 +778,7 @@ def batched_deferred_acceptance(
             if record_trace:
                 rounds.append(record)
             if emitting:
-                rec.events.emit(round_to_event(record))
+                rec.forward(round_to_event(record))
         if observing:
             rec.metrics.counter("stage1.evictions").inc(num_evictions)
             rec.metrics.counter("stage1.rejections").inc(num_rejections)

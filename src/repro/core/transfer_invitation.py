@@ -159,7 +159,7 @@ def _transfer_and_invitation_impl(
     rec: Optional[Recorder] = None,
 ) -> StageTwoResult:
     observing = rec is not None and rec.enabled
-    emitting = observing and rec.events.enabled
+    emitting = observing and (rec.events.enabled or rec.runs.enabled)
     mu = matching.copy()
     utilities = market.utilities
 
@@ -234,7 +234,7 @@ def _transfer_and_invitation_impl(
                 if record_trace:
                     transfer_rounds.append(record)
                 if emitting:
-                    rec.events.emit(round_to_event(record))
+                    rec.forward(round_to_event(record))
             if observing:
                 rec.metrics.counter("stage2.transfers_accepted").inc(
                     len(accepted_moves)
@@ -317,7 +317,7 @@ def _transfer_and_invitation_impl(
                 if record_trace:
                     invitation_rounds.append(record)
                 if emitting:
-                    rec.events.emit(round_to_event(record))
+                    rec.forward(round_to_event(record))
             if observing:
                 rec.metrics.counter("stage2.invitations_sent").inc(len(sent))
                 rec.metrics.counter("stage2.invitations_accepted").inc(

@@ -66,7 +66,7 @@ from repro.obs.recorder import (
 )
 from repro.obs.server import TelemetryServer, parse_serve_address
 from repro.obs.slo import SloEngine, SloRule, SloViolation, parse_slo_rule
-from repro.obs.spans import NullSpanTracer, SpanRecord, SpanTracer
+from repro.obs.spans import NullSpanTracer, SpanRecord, SpanTracer, SpanTree
 from repro.obs.summary import format_metrics_summary, format_span_tree
 
 __all__ = [
@@ -93,6 +93,7 @@ __all__ = [
     "NullSpanTracer",
     "SpanRecord",
     "SpanTracer",
+    "SpanTree",
     "format_metrics_summary",
     "format_span_tree",
     "RunRegistry",

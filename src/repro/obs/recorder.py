@@ -24,7 +24,7 @@ from typing import Any, Dict, Iterator, Optional
 from repro.obs.events import EventSink, NullEventSink
 from repro.obs.live import NULL_RUN_REGISTRY, RunRegistry
 from repro.obs.metrics import MetricsRegistry, NullMetrics
-from repro.obs.spans import NullSpanTracer, SpanRecord, SpanTracer
+from repro.obs.spans import NullSpanTracer, SpanRecord, SpanTracer, span_event
 
 __all__ = [
     "Recorder",
@@ -67,17 +67,7 @@ class Recorder:
             def _mirror(record: SpanRecord, _previous=previous) -> None:
                 if _previous is not None:
                     _previous(record)
-                self.events.emit(
-                    {
-                        "event": "span",
-                        "name": record.name,
-                        "depth": record.depth,
-                        "parent": record.parent,
-                        "wall_s": record.wall_s,
-                        "cpu_s": record.cpu_s,
-                        "start_s": record.start_s,
-                    }
-                )
+                self.events.emit(span_event(record))
 
             self.spans.on_finish = _mirror
         #: Cached master switch consulted on hot paths.

@@ -2,7 +2,8 @@
 
 The CLI's ``--metrics`` flag prints this after a command finishes; the
 benchmark harness writes the JSON snapshot instead (machine-readable),
-so both views come from the same instruments.
+so both views come from the same instruments.  The span section is the
+recorder's :class:`~repro.obs.spans.SpanTree` aggregated by stack path.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from typing import List
 
 from repro.obs.metrics import snapshot_quantile
 from repro.obs.recorder import Recorder
+from repro.obs.spans import SpanTree
 
 __all__ = ["format_metrics_summary", "format_span_tree"]
 
@@ -73,69 +75,24 @@ def format_metrics_summary(recorder: Recorder) -> str:
     return "\n".join(lines)
 
 
-def format_span_tree(
-    recorder: Recorder, max_lines: int = 40, sort: str = "record"
-) -> str:
-    """Indented span tree, aggregated by (depth, name, parent-chain).
+def format_span_tree(recorder: Recorder, max_lines: int = 40) -> str:
+    """Indented span tree, aggregated by stack path.
 
-    Repeated spans (e.g. one ``stage1.mwis`` per seller per round) are
-    rolled up into one line with a count, so the tree stays readable for
-    arbitrarily long runs.  Each line shows wall, cpu and *self* time
-    (wall minus direct children), so the dominant leaf phase is visible
-    without exporting the trace.  ``sort`` orders siblings: ``record``
-    keeps first-finish order, ``self`` puts the most expensive first.
-    At most ``max_lines`` lines are returned; a truncation marker
-    reports anything dropped.
+    Repeated spans (e.g. one ``stage1.mwis`` per seller per round, or
+    one ``two_stage`` per solve) are rolled up into one line per path
+    with a count, so the tree stays readable for arbitrarily long runs.
+    Each line shows wall, cpu and *self* time (wall minus direct
+    children), so the dominant leaf phase is visible without exporting
+    the trace.  Siblings keep first-finish order.  At most ``max_lines``
+    lines are returned; a truncation marker reports anything dropped.
     """
-    if sort not in ("record", "self"):
-        raise ValueError(
-            f"format_span_tree: sort must be 'record' or 'self', got {sort!r}"
-        )
-    records = recorder.spans.records
-    if not records:
-        return ""
-
-    # Children finish before parents, so rebuild the tree from the
-    # parent indices, then aggregate sibling spans sharing a name.
-    children: dict = {}
-    child_wall: dict = {}
-    for record in records:
-        children.setdefault(record.parent, []).append(record)
-        if record.parent >= 0:
-            child_wall[record.parent] = (
-                child_wall.get(record.parent, 0.0) + record.wall_s
-            )
-
     lines: List[str] = []
-
-    def render(parent_index: int, indent: int) -> None:
-        grouped: dict = {}
-        for record in children.get(parent_index, []):
-            grouped.setdefault(record.name, []).append(record)
-        groups = list(grouped.items())
-        if sort == "self":
-            groups.sort(
-                key=lambda item: -sum(
-                    max(r.wall_s - child_wall.get(r.index, 0.0), 0.0)
-                    for r in item[1]
-                )
-            )
-        for name, group in groups:
-            wall = sum(r.wall_s for r in group)
-            cpu = sum(r.cpu_s for r in group)
-            self_s = sum(
-                max(r.wall_s - child_wall.get(r.index, 0.0), 0.0)
-                for r in group
-            )
-            count = f" x{len(group)}" if len(group) > 1 else ""
-            lines.append(
-                f"{'  ' * (indent + 1)}{name}{count}  "
-                f"{wall:.6f}s / {cpu:.6f}s / {self_s:.6f}s"
-            )
-            for record in group:
-                render(record.index, indent + 1)
-
-    render(-1, 0)
+    for path, totals in SpanTree(recorder.spans.records).by_path().items():
+        count = f" x{totals.count}" if totals.count > 1 else ""
+        lines.append(
+            f"{'  ' * len(path)}{totals.name}{count}  "
+            f"{totals.wall_s:.6f}s / {totals.cpu_s:.6f}s / {totals.self_s:.6f}s"
+        )
     if len(lines) > max_lines:
         dropped = len(lines) - max_lines
         lines = lines[:max_lines] + [f"  ... ({dropped} more span lines)"]

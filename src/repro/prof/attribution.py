@@ -1,48 +1,19 @@
-"""Attribution tables: spans, functions and allocation sites as rows.
+"""Attribution tables: functions and allocation sites as rows.
 
-Pure functions turning the three raw profile sources -- the recorder's
-:class:`~repro.obs.spans.SpanRecord` list, a :mod:`pstats` statistics
-mapping and a :mod:`tracemalloc` snapshot -- into plain, JSON-ready row
-dicts sorted most-expensive-first.  The collector assembles them into
-the ``profile.json`` artifact; ``repro profile top`` renders them.
+Pure functions turning two raw profile sources -- a :mod:`pstats`
+statistics mapping and a :mod:`tracemalloc` snapshot -- into plain,
+JSON-ready row dicts sorted most-expensive-first.  The span rows come
+from :meth:`~repro.obs.spans.SpanTree.by_name`.  The collector assembles
+all three into the ``profile.json`` artifact; ``repro profile top``
+renders them.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List
 
-__all__ = ["span_table", "function_table", "alloc_table"]
-
-
-def span_table(records: Sequence[Any]) -> List[Dict[str, Any]]:
-    """Aggregate span records by name into attributed phase rows.
-
-    Each row carries ``count``, total ``wall_s``/``cpu_s`` and
-    ``self_s`` -- wall time minus the wall time of *direct* children --
-    so the dominant leaf phase is visible without any export.  Rows are
-    sorted by descending self time, ties by name.
-    """
-    child_wall: Dict[int, float] = {}
-    for record in records:
-        if record.parent >= 0:
-            child_wall[record.parent] = (
-                child_wall.get(record.parent, 0.0) + record.wall_s
-            )
-    rows: Dict[str, Dict[str, Any]] = {}
-    for record in records:
-        row = rows.setdefault(
-            record.name,
-            {"name": record.name, "count": 0, "wall_s": 0.0,
-             "cpu_s": 0.0, "self_s": 0.0},
-        )
-        row["count"] += 1
-        row["wall_s"] += record.wall_s
-        row["cpu_s"] += record.cpu_s
-        row["self_s"] += max(
-            record.wall_s - child_wall.get(record.index, 0.0), 0.0
-        )
-    return sorted(rows.values(), key=lambda r: (-r["self_s"], r["name"]))
+__all__ = ["function_table", "alloc_table"]
 
 
 def function_table(stats: Any, top: int = 20) -> List[Dict[str, Any]]:

@@ -9,11 +9,15 @@ passed).  It is a context manager around the profiled region:
   attribution, ``memory`` for tracemalloc allocation sites);
 * on exit it stops the drivers, snapshots the cost counters (emitting
   them through the recorder's metrics registry, where one is live),
-  and assembles the attribution payload from the recorder's span
-  records plus the driver outputs;
+  and assembles the attribution payload: span rows per name from the
+  recorder's :class:`~repro.obs.spans.SpanTree`, plus the driver
+  outputs;
 * :meth:`write` persists the three artifacts -- ``profile.json``,
   ``profile.collapsed``, ``profile.speedscope.json`` -- atomically
-  into the spec's output directory.
+  into the spec's output directory.  The last two are rendered from
+  the same ``span`` events the recorder mirrors into a trace
+  (:func:`~repro.obs.spans.span_event`), so ``repro trace export`` of a
+  traced run nests exactly as its profile does.
 
 With the spec disabled none of this runs: no counter is flushed, no
 driver starts, and the run is byte-identical to an unprofiled one.
@@ -22,31 +26,17 @@ driver starts, and the run is byte-identical to an unprofiled one.
 from __future__ import annotations
 
 import cProfile
+import dataclasses
 import platform
 import pstats
 from typing import Any, Dict, List, Optional
 
-from repro.prof.attribution import alloc_table, function_table, span_table
+from repro.obs.spans import SpanTree, span_event
+from repro.prof.attribution import alloc_table, function_table
 from repro.prof.counters import flush_cost_counters, reset_cost_counters
 from repro.prof.report import PROFILE_SCHEMA_VERSION, write_profile
 
-__all__ = ["Profiler", "span_events_from_records"]
-
-
-def span_events_from_records(records) -> List[Dict[str, Any]]:
-    """Span records as trace-shaped span event dicts (records order)."""
-    return [
-        {
-            "event": "span",
-            "name": record.name,
-            "depth": record.depth,
-            "parent": record.parent,
-            "wall_s": round(record.wall_s, 9),
-            "cpu_s": round(record.cpu_s, 9),
-            "start_s": round(record.start_s, 9),
-        }
-        for record in records
-    ]
+__all__ = ["Profiler"]
 
 
 class Profiler:
@@ -95,8 +85,8 @@ class Profiler:
                     tracemalloc.stop()
                     self._started_tracemalloc = False
         counters = flush_cost_counters(self.recorder.metrics)
-        records = list(getattr(self.recorder.spans, "records", ()))
-        self._span_events = span_events_from_records(records)
+        records = self.recorder.spans.records
+        self._span_events = [span_event(record) for record in records]
         self.payload = {
             "schema": PROFILE_SCHEMA_VERSION,
             "meta": {
@@ -104,7 +94,10 @@ class Profiler:
                 "machine": platform.machine(),
                 **self.meta,
             },
-            "spans": span_table(records),
+            "spans": [
+                dataclasses.asdict(totals)
+                for totals in SpanTree(records).by_name()
+            ],
             "functions": functions,
             "allocs": allocs,
             "counters": counters,

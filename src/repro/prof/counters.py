@@ -25,6 +25,7 @@ from typing import Dict, List
 __all__ = [
     "reset_cost_counters",
     "snapshot_cost_counters",
+    "merge_cost_counters",
     "flush_cost_counters",
 ]
 
@@ -57,6 +58,18 @@ def snapshot_cost_counters() -> Dict[str, int]:
     for counters in _provider_dicts():
         merged.update(counters)
     return dict(sorted(merged.items()))
+
+
+def merge_cost_counters(counts: Dict[str, int]) -> None:
+    """Add a :func:`snapshot_cost_counters` result onto the counters.
+
+    The parallel sweep runner uses it to fold each worker's counts into
+    the parent, so a profiled parallel sweep counts what a serial one
+    does.
+    """
+    for counters in _provider_dicts():
+        for name in counters:
+            counters[name] += int(counts.get(name, 0))
 
 
 def flush_cost_counters(metrics=None) -> Dict[str, int]:

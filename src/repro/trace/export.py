@@ -19,14 +19,19 @@ tooling and need no dependencies to write:
   input format of every flamegraph renderer.
 * **speedscope JSON** (:func:`to_speedscope`) -- an evented speedscope
   profile of the span tree, loadable at https://www.speedscope.app.
+
+Both span views read :class:`~repro.obs.spans.SpanTree`, which rebuilds
+the tree from the span events' finish order and depth; a stored
+``parent`` field (written by older versions) is never consulted.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import ObservabilityError
+from repro.obs.spans import SpanTree
 
 __all__ = [
     "to_chrome_trace",
@@ -374,51 +379,20 @@ def _parse_histogram(
     }
 
 
-def _span_tree(
-    events: List[Dict[str, Any]],
-) -> Tuple[List[Dict[str, Any]], Dict[int, List[int]]]:
-    """Span events plus a parent-index -> child-indices map.
-
-    Span events appear in the stream in finish order, which is exactly
-    the tracer's record index order, so position in the filtered list is
-    the index the ``parent`` field refers to (roots carry ``-1``).
-    """
-    spans = [e for e in events if e.get("event") == "span"]
-    children: Dict[int, List[int]] = {}
-    for index, span in enumerate(spans):
-        children.setdefault(int(span.get("parent", -1)), []).append(index)
-    return spans, children
-
-
 def to_collapsed(events: List[Dict[str, Any]]) -> str:
     """Render a trace's span tree as collapsed flamegraph stacks.
 
     One ``root;child;leaf  N`` line per unique span stack, where ``N``
-    is the stack's *self* wall time (wall minus direct children) in
-    integer microseconds.  Identical stacks aggregate; zero-self lines
-    are dropped; output is sorted, so two identical traces collapse to
-    identical bytes.
+    is the stack's summed *self* wall time (wall minus direct children)
+    in integer microseconds.  Zero-self lines are dropped; output is
+    sorted, so two identical traces collapse to identical bytes.
     """
-    spans, children = _span_tree(events)
-    stacks: Dict[str, int] = {}
-    for index, span in enumerate(spans):
-        wall = float(span.get("wall_s", 0.0))
-        child_wall = sum(
-            float(spans[c].get("wall_s", 0.0))
-            for c in children.get(index, ())
-        )
-        self_us = int(round(max(wall - child_wall, 0.0) * 1e6))
-        if self_us <= 0:
-            continue
-        frames = []
-        cursor: Optional[int] = index
-        while cursor is not None and cursor >= 0:
-            frames.append(str(spans[cursor].get("name", "span")))
-            parent = int(spans[cursor].get("parent", -1))
-            cursor = parent if parent >= 0 else None
-        stack = ";".join(reversed(frames))
-        stacks[stack] = stacks.get(stack, 0) + self_us
-    lines = [f"{stack} {count}" for stack, count in sorted(stacks.items())]
+    lines = []
+    for path, totals in SpanTree.from_events(events).by_path().items():
+        self_us = int(round(totals.self_s * 1e6))
+        if self_us > 0:
+            lines.append(f"{';'.join(path)} {self_us}")
+    lines.sort()
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -432,7 +406,7 @@ def to_speedscope(
     deterministic (independent of real start timestamps) and always
     properly nested.  Durations are the recorded wall seconds.
     """
-    spans, children = _span_tree(events)
+    tree = SpanTree.from_events(events)
     frame_index: Dict[str, int] = {}
     frames: List[Dict[str, Any]] = []
 
@@ -445,19 +419,18 @@ def to_speedscope(
     profile_events: List[Dict[str, Any]] = []
 
     def emit(index: int, start: float) -> float:
-        span = spans[index]
-        frame = frame_of(str(span.get("name", "span")))
-        wall = float(span.get("wall_s", 0.0))
+        record = tree.records[index]
+        frame = frame_of(record.name)
         profile_events.append({"type": "O", "frame": frame, "at": start})
         cursor = start
-        for child in children.get(index, ()):
+        for child in tree.children[index]:
             cursor = emit(child, cursor)
-        end = max(start + wall, cursor)
+        end = max(start + record.wall_s, cursor)
         profile_events.append({"type": "C", "frame": frame, "at": end})
         return end
 
     cursor = 0.0
-    for root in children.get(-1, ()):
+    for root in tree.roots:
         cursor = emit(root, cursor)
 
     return {

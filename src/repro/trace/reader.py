@@ -17,6 +17,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 from repro.errors import ObservabilityError
 from repro.obs.events import AnyRound, event_to_round
 from repro.obs.manifest import MANIFEST_SCHEMA_VERSION
+from repro.obs.spans import SpanTree
 
 __all__ = ["TraceReader", "TraceSummary", "format_summary", "load_events"]
 
@@ -87,8 +88,9 @@ class TraceSummary:
         from ``two_stage.result``, final welfare from a distributed
         ``run_end``) -- the convergence trajectory of Section IV's plots.
     mwis_wall_s / total_wall_s / mwis_share:
-        Wall-clock spent in MWIS spans, in root spans, and their ratio
-        (zeros when the trace carries no spans).
+        Wall-clock spent in MWIS spans, in the root spans of the trace's
+        :class:`~repro.obs.spans.SpanTree`, and their ratio (zeros when
+        the trace carries no spans).
     messages_sent / messages_delivered / messages_dropped:
         Kernel message-causality totals (zeros for centralised traces).
     drop_reasons:
@@ -217,7 +219,6 @@ class TraceReader:
 
         rounds_stage1 = rounds_transfer = rounds_invitation = 0
         welfare: List[Tuple[str, float]] = []
-        mwis_wall = total_wall = 0.0
         sent = delivered = dropped = 0
         drop_reasons: Dict[str, int] = {}
         slots: Optional[int] = None
@@ -261,12 +262,6 @@ class TraceReader:
                     welfare.append(("final", float(event["social_welfare"])))
                 if "slots" in event:
                     slots = int(event["slots"])
-            elif kind == "span":
-                wall = float(event.get("wall_s", 0.0))
-                if "mwis" in str(event.get("name", "")):
-                    mwis_wall += wall
-                if event.get("depth") == 0:
-                    total_wall += wall
             elif kind == "msg.sent":
                 sent += 1
             elif kind == "msg.delivered":
@@ -276,6 +271,11 @@ class TraceReader:
                 reason = str(event.get("reason", "unknown"))
                 drop_reasons[reason] = drop_reasons.get(reason, 0) + 1
 
+        tree = SpanTree.from_events(self.events)
+        mwis_wall = sum(
+            totals.wall_s for totals in tree.by_name() if "mwis" in totals.name
+        )
+        total_wall = sum(tree.records[root].wall_s for root in tree.roots)
         manifest = self.manifest or {}
         return TraceSummary(
             source=self.source,

@@ -14,6 +14,7 @@ from repro.analysis.experiments import (
 from repro.analysis.parallel import parallel_map, resolve_jobs
 from repro.errors import ParallelExecutionError, SpectrumMatchingError
 from repro.obs import ListEventSink, MetricsRegistry, Recorder, use_recorder
+from repro.prof.counters import reset_cost_counters, snapshot_cost_counters
 
 
 # Worker functions must live at module level to be picklable.
@@ -182,6 +183,35 @@ class TestMetricsMerging:
             name: stats["count"] for name, stats in parallel["timers"].items()
         }
         assert serial_timers == parallel_timers
+
+    def test_parallel_sweep_reports_same_cost_counters_as_serial(self):
+        def run(jobs):
+            reset_cost_counters()
+            with use_recorder(Recorder(metrics=MetricsRegistry())):
+                stage_breakdown_series(
+                    SweepAxis.BUYERS, [30], num_channels=3, repetitions=2,
+                    seed=11, jobs=jobs,
+                )
+            return snapshot_cost_counters()
+
+        serial, parallel = run(None), run(2)
+        assert sum(serial.values()) > 0
+        assert parallel == serial
+
+    def test_lone_parallel_task_adds_to_the_callers_counts(self):
+        # parallel_map runs a one-task sweep in-process; its counts must
+        # add to what the caller already counted, once.
+        def run(jobs):
+            reset_cost_counters()
+            with use_recorder(Recorder(metrics=MetricsRegistry())):
+                for _ in range(2):
+                    stage_breakdown_series(
+                        SweepAxis.BUYERS, [30], num_channels=3,
+                        repetitions=1, seed=11, jobs=jobs,
+                    )
+            return snapshot_cost_counters()
+
+        assert run(2) == run(None)
 
     def test_registry_merge_accumulates(self):
         source = MetricsRegistry()

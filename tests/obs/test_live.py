@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
+
+from repro import paper_simulation_market, run_two_stage, toy_example_market
 from repro.obs import ListEventSink, Recorder
 from repro.obs.live import NULL_RUN_REGISTRY, NullRunRegistry, RunRegistry
 
@@ -178,6 +182,36 @@ class TestRecorderIntegration:
         recorder.emit("two_stage.start")
         assert sink.events[0]["event"] == "two_stage.start"
         assert registry.runs_started == 1
+
+    @pytest.mark.parametrize("with_sink", [False, True])
+    @pytest.mark.parametrize("market_seed", [None, 3])
+    def test_live_registry_matches_trace_replay(self, with_sink, market_seed):
+        market = (
+            toy_example_market()
+            if market_seed is None
+            else paper_simulation_market(
+                20, 4, np.random.default_rng(market_seed)
+            )
+        )
+        live = RunRegistry()
+        sink = ListEventSink()
+        result = run_two_stage(
+            market,
+            recorder=Recorder(events=sink if with_sink else None, runs=live),
+        )
+        trace = ListEventSink()
+        run_two_stage(market, recorder=Recorder(events=trace))
+        replayed = RunRegistry()
+        _observe_all(replayed, trace.events)
+
+        def digest(registry):
+            (run,) = registry.snapshot()["runs"]
+            return run["rounds"], run["phase"], run["status"], run["welfare"]
+
+        assert digest(live) == digest(replayed)
+        assert digest(live)[0] == (
+            result.rounds_stage1 + result.rounds_phase1 + result.rounds_phase2
+        )
 
     def test_null_registry_is_inert(self):
         assert not NULL_RUN_REGISTRY.enabled

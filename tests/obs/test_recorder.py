@@ -24,6 +24,7 @@ from repro.obs import (
     MetricsRegistry,
     Recorder,
     SpanTracer,
+    SpanTree,
     get_recorder,
     resolve_recorder,
     use_recorder,
@@ -104,8 +105,8 @@ class TestPipelineInstrumentation:
     def test_span_hierarchy(self, toy_market):
         recorder = live_recorder()
         run_two_stage(toy_market, recorder=recorder)
-        roots = recorder.spans.roots()
-        assert [r.name for r in roots] == ["two_stage"]
+        tree = SpanTree(recorder.spans.records)
+        assert [tree.records[i].name for i in tree.roots] == ["two_stage"]
         depth1 = {r.name for r in recorder.spans.records if r.depth == 1}
         assert depth1 == {"stage1", "stage2"}
         depth2 = {r.name for r in recorder.spans.records if r.depth == 2}

@@ -1,10 +1,24 @@
-"""Span tracing: nesting, parent links, timing, and the null tracer."""
+"""Span tracing: nesting, the span tree, timing, and the null tracer."""
 
 from __future__ import annotations
 
+import io
+import json
 import time
 
-from repro.obs.spans import NullSpanTracer, SpanTracer
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.obs import ListEventSink, Recorder
+from repro.obs.spans import (
+    NullSpanTracer,
+    SpanRecord,
+    SpanTracer,
+    SpanTree,
+    span_event,
+)
+from repro.trace.reader import load_events
 
 
 class TestSpanTracer:
@@ -22,11 +36,13 @@ class TestSpanTracer:
         (outer,) = by_name["outer"]
         mids = by_name["mid"]
         (inner,) = by_name["inner"]
-        assert outer.depth == 0 and outer.parent == -1
+        assert outer.depth == 0
         assert [m.depth for m in mids] == [1, 1]
-        assert all(m.parent == outer.index for m in mids)
         assert inner.depth == 2
-        assert inner.parent == mids[0].index
+        tree = SpanTree(tracer.records)
+        # Finish order: inner=0, mid=1, mid=2, outer=3.
+        assert tree.roots == [3]
+        assert tree.children == [[], [0], [], [1, 2]]
 
     def test_children_finish_before_parents(self):
         tracer = SpanTracer()
@@ -34,7 +50,7 @@ class TestSpanTracer:
             with tracer.span("b"):
                 pass
         assert [r.name for r in tracer.records] == ["b", "a"]
-        assert tracer.roots() == [tracer.records[1]]
+        assert SpanTree(tracer.records).roots == [1]
 
     def test_wall_time_measures_elapsed(self):
         tracer = SpanTracer()
@@ -68,8 +84,128 @@ class TestSpanTracer:
             pass
         with tracer.span("second"):
             pass
-        assert [r.parent for r in tracer.records] == [-1, -1]
-        assert [r.name for r in tracer.roots()] == ["first", "second"]
+        tree = SpanTree(tracer.records)
+        assert tree.roots == [0, 1]
+        assert tree.children == [[], []]
+
+
+def _record(name, depth, wall):
+    return SpanRecord(name=name, depth=depth, wall_s=wall, cpu_s=wall)
+
+
+class TestSpanTree:
+    def test_stored_parent_is_ignored(self):
+        events = [
+            {"event": "span", "name": "leaf", "depth": 1, "parent": -1,
+             "wall_s": 1.0},
+            {"event": "round"},
+            {"event": "span", "name": "root", "depth": 0, "parent": -1,
+             "wall_s": 3.0},
+        ]
+        tree = SpanTree.from_events(events)
+        assert tree.roots == [1]
+        assert tree.children == [[], [0]]
+
+    def test_unfinished_parent_leaves_its_children_as_roots(self):
+        # A trace cut mid-span holds children whose parent never closed.
+        tree = SpanTree([_record("a", 1, 1.0), _record("b", 1, 1.0)])
+        assert tree.roots == [0, 1]
+
+    def test_by_path_merges_repeated_subtrees(self):
+        records = []
+        for _ in range(3):
+            records += [
+                _record("mwis", 2, 1.0),
+                _record("mwis", 2, 1.0),
+                _record("stage1", 1, 3.0),
+                _record("solve", 0, 4.0),
+            ]
+        paths = SpanTree(records).by_path()
+        assert list(paths) == [
+            ("solve",),
+            ("solve", "stage1"),
+            ("solve", "stage1", "mwis"),
+        ]
+        assert [t.count for t in paths.values()] == [3, 3, 6]
+        assert [t.self_s for t in paths.values()] == [3.0, 3.0, 6.0]
+
+    def test_by_path_is_preorder_when_children_appear_late(self):
+        records = [
+            _record("a", 1, 1.0),
+            _record("root", 0, 2.0),
+            _record("b", 1, 1.0),
+            _record("deep", 2, 1.0),
+            _record("a", 1, 2.0),
+            _record("root", 0, 5.0),
+        ]
+        assert list(SpanTree(records).by_path()) == [
+            ("root",),
+            ("root", "a"),
+            ("root", "a", "deep"),
+            ("root", "b"),
+        ]
+
+    def test_span_event_round_trips(self):
+        record = SpanRecord("stage1", 1, 0.25, 0.125, start_s=9.5)
+        event = span_event(record)
+        assert set(event) == {
+            "event", "name", "depth", "wall_s", "cpu_s", "start_s",
+        }
+        assert SpanTree.from_events([event]).records == [record]
+
+
+#: A span program: a list of (name, child program) pairs run in order.
+_PROGRAMS = st.recursive(
+    st.just([]),
+    lambda children: st.lists(
+        st.tuples(st.sampled_from(["a", "b", "c"]), children), max_size=3
+    ),
+    max_leaves=24,
+)
+
+
+def _run_program(recorder, program):
+    for name, children in program:
+        with recorder.span(name):
+            _run_program(recorder, children)
+
+
+def _shape(tree, indices):
+    return [
+        (tree.records[i].name, _shape(tree, tree.children[i]))
+        for i in indices
+    ]
+
+
+def _subtree_self(tree, index):
+    return tree.self_s[index] + sum(
+        _subtree_self(tree, child) for child in tree.children[index]
+    )
+
+
+class TestSpanTreeProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(program=_PROGRAMS)
+    def test_records_events_and_jsonl_build_one_tree(self, program):
+        sink = ListEventSink()
+        recorder = Recorder(events=sink, spans=SpanTracer())
+        _run_program(recorder, program)
+        jsonl = io.StringIO(
+            "".join(json.dumps(event) + "\n" for event in sink.events)
+        )
+        trees = [
+            SpanTree(recorder.spans.records),
+            SpanTree.from_events(sink.events),
+            SpanTree.from_events(load_events(jsonl)),
+        ]
+        for tree in trees:
+            assert _shape(tree, tree.roots) == program
+            assert tree.records == trees[0].records
+            assert tree.self_s == trees[0].self_s
+            for root in tree.roots:
+                assert _subtree_self(tree, root) == pytest.approx(
+                    tree.records[root].wall_s, rel=1e-9, abs=1e-12
+                )
 
 
 class TestNullSpanTracer:

@@ -1,14 +1,13 @@
 """Unit tests for the metrics/span text summaries.
 
-``format_span_tree`` now carries a self-time column (wall minus direct
-children) and a ``sort`` option; these pin the rendering contract the
-CLI's ``--metrics`` flag exposes.
+``format_span_tree`` aggregates by stack path and carries a self-time
+column (wall minus direct children); these pin the rendering contract
+the CLI's ``--metrics`` flag exposes.
 """
 
 from __future__ import annotations
 
-import pytest
-
+from repro import run_two_stage, toy_example_market
 from repro.obs import MetricsRegistry, Recorder
 from repro.obs.spans import SpanTracer
 from repro.obs.summary import format_metrics_summary, format_span_tree
@@ -54,15 +53,6 @@ class TestFormatSpanTree:
         wall, _cpu, self_s = times
         assert 0.0 <= self_s < wall
 
-    def test_sort_self_puts_most_expensive_sibling_first(self):
-        tree = format_span_tree(_recorder_with_spans(), sort="self")
-        children = [
-            line.strip().split()[0]
-            for line in tree.splitlines()
-            if line.startswith("    ")
-        ]
-        assert children[0] == "slow"
-
     def test_record_order_is_the_default(self):
         tree = format_span_tree(_recorder_with_spans())
         children = [
@@ -72,9 +62,22 @@ class TestFormatSpanTree:
         ]
         assert children == ["fast", "slow", "leaf"]
 
-    def test_unknown_sort_rejected(self):
-        with pytest.raises(ValueError, match="sort"):
-            format_span_tree(_recorder_with_spans(), sort="wall")
+    def test_repeated_solves_print_each_path_once(self):
+        recorder = Recorder(metrics=MetricsRegistry(), spans=SpanTracer())
+        for _ in range(3):
+            run_two_stage(toy_example_market(), recorder=recorder)
+        lines = format_span_tree(recorder).splitlines()
+        labels = [line.split("  ")[-2].strip() for line in lines]
+        assert labels == [
+            "two_stage x3",
+            "stage1 x3",
+            "stage1.mwis x12",
+            "stage2 x3",
+            "stage2.transfer x3",
+            "stage2.invitation x3",
+        ]
+        indents = [len(line) - len(line.lstrip()) for line in lines]
+        assert indents == [2, 4, 6, 4, 6, 6]
 
     def test_truncation_marker(self):
         recorder = Recorder(metrics=MetricsRegistry(), spans=SpanTracer())

@@ -1,22 +1,32 @@
-"""Attribution tables: span self-time, function rows, allocation rows."""
+"""Attribution tables: span self-time, function rows, allocation rows.
+
+The profile's span rows are :meth:`SpanTree.by_name` totals; the
+records below are in finish order, so the tree derives every parent
+from depth alone.
+"""
 
 from __future__ import annotations
 
-from repro.obs.spans import SpanRecord
-from repro.prof import span_table
+import dataclasses
+
+from repro.obs.spans import SpanRecord, SpanTree
 from repro.prof.attribution import function_table
 
 
-def _record(name, index, parent, depth, wall, cpu=None):
+def _record(name, depth, wall, cpu=None):
     return SpanRecord(
         name=name,
-        index=index,
-        parent=parent,
         depth=depth,
         wall_s=wall,
         cpu_s=wall if cpu is None else cpu,
         start_s=0.0,
     )
+
+
+def _span_rows(records):
+    return [
+        dataclasses.asdict(totals) for totals in SpanTree(records).by_name()
+    ]
 
 
 class TestSpanTable:
@@ -25,33 +35,33 @@ class TestSpanTable:
         # time excludes the child but not the grandchild (which the
         # child already accounts for).
         records = [
-            _record("grandchild", 0, 1, 2, 1.0),
-            _record("child", 1, 2, 1, 3.0),
-            _record("root", 2, -1, 0, 10.0),
+            _record("grandchild", 2, 1.0),
+            _record("child", 1, 3.0),
+            _record("root", 0, 10.0),
         ]
-        rows = {row["name"]: row for row in span_table(records)}
+        rows = {row["name"]: row for row in _span_rows(records)}
         assert rows["root"]["self_s"] == 7.0
         assert rows["child"]["self_s"] == 2.0
         assert rows["grandchild"]["self_s"] == 1.0
 
     def test_repeated_spans_aggregate_by_name(self):
         records = [
-            _record("leaf", 0, 2, 1, 1.0),
-            _record("leaf", 1, 2, 1, 2.0),
-            _record("root", 2, -1, 0, 5.0),
+            _record("leaf", 1, 1.0),
+            _record("leaf", 1, 2.0),
+            _record("root", 0, 5.0),
         ]
-        rows = {row["name"]: row for row in span_table(records)}
+        rows = {row["name"]: row for row in _span_rows(records)}
         assert rows["leaf"]["count"] == 2
         assert rows["leaf"]["wall_s"] == 3.0
         assert rows["root"]["self_s"] == 2.0
 
     def test_sorted_by_descending_self_time(self):
         records = [
-            _record("small", 0, 2, 1, 1.0),
-            _record("big", 1, 2, 1, 6.0),
-            _record("root", 2, -1, 0, 8.0),
+            _record("small", 1, 1.0),
+            _record("big", 1, 6.0),
+            _record("root", 0, 8.0),
         ]
-        assert [row["name"] for row in span_table(records)] == [
+        assert [row["name"] for row in _span_rows(records)] == [
             "big",
             "root",
             "small",
@@ -61,14 +71,18 @@ class TestSpanTable:
         # Children measured longer than their parent (clock granularity)
         # must clamp the parent's self time at zero, not below.
         records = [
-            _record("child", 0, 1, 1, 5.0),
-            _record("root", 1, -1, 0, 4.0),
+            _record("child", 1, 5.0),
+            _record("root", 0, 4.0),
         ]
-        rows = {row["name"]: row for row in span_table(records)}
+        rows = {row["name"]: row for row in _span_rows(records)}
         assert rows["root"]["self_s"] == 0.0
 
+    def test_row_keys_are_the_profile_schema(self):
+        (row,) = _span_rows([_record("root", 0, 1.0)])
+        assert list(row) == ["name", "count", "wall_s", "cpu_s", "self_s"]
+
     def test_empty_records(self):
-        assert span_table([]) == []
+        assert _span_rows([]) == []
 
 
 class TestFunctionTable:

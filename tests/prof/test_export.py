@@ -1,8 +1,8 @@
 """Collapsed-stack and speedscope exporters over span events.
 
 These consume the same JSONL span events the trace writer emits
-(finish-order, ``parent`` indexing into the span-only sublist), so the
-fixtures are hand-built streams mirroring a two-stage run's shape.
+(finish order and depth, no parent link), so the fixtures are
+hand-built streams mirroring a two-stage run's shape.
 """
 
 from __future__ import annotations
@@ -12,11 +12,10 @@ import json
 from repro.trace.export import to_collapsed, to_speedscope
 
 
-def _span(name, parent, depth, wall):
+def _span(name, depth, wall):
     return {
         "event": "span",
         "name": name,
-        "parent": parent,
         "depth": depth,
         "wall_s": wall,
         "cpu_s": wall,
@@ -26,14 +25,14 @@ def _span(name, parent, depth, wall):
 
 def _two_stage_events():
     # Finish order: children before parents, exactly as the tracer
-    # records them.  Indices: mwis=0, mwis=1, stage1=2, stage2=3, root=4.
+    # records them.
     return [
         {"event": "run_started", "kind": "two_stage"},
-        _span("stage1.mwis", 2, 2, 0.004),
-        _span("stage1.mwis", 2, 2, 0.006),
-        _span("stage1", 4, 1, 0.012),
-        _span("stage2", 4, 1, 0.003),
-        _span("two_stage", -1, 0, 0.016),
+        _span("stage1.mwis", 2, 0.004),
+        _span("stage1.mwis", 2, 0.006),
+        _span("stage1", 1, 0.012),
+        _span("stage2", 1, 0.003),
+        _span("two_stage", 0, 0.016),
     ]
 
 

@@ -521,6 +521,47 @@ class TestProfileCommands:
             assert stack and value.isdigit(), line
         assert any("stage1.mwis" in line for line in out.splitlines())
 
+    def test_trace_export_nests_as_the_profile_does(self, tmp_path, capsys):
+        trace, prof = tmp_path / "toy.jsonl", tmp_path / "prof"
+        assert (
+            main(["toy", "--trace-out", str(trace), "--profile-out", str(prof)])
+            == 0
+        )
+        capsys.readouterr()
+        assert (
+            main(["trace", "export", str(trace), "--format", "collapsed"])
+            == 0
+        )
+        exported = capsys.readouterr().out
+        profiled = (prof / "profile.collapsed").read_text()
+
+        def stacks(text):
+            return {line.rpartition(" ")[0] for line in text.splitlines()}
+
+        assert "two_stage;stage1;stage1.mwis" in stacks(exported)
+        assert stacks(exported) == stacks(profiled)
+
+        target = tmp_path / "trace.speedscope.json"
+        assert (
+            main(
+                [
+                    "trace", "export", str(trace),
+                    "--format", "speedscope", "--output", str(target),
+                ]
+            )
+            == 0
+        )
+
+        def nesting(path):
+            document = json.loads(path.read_text())
+            names = [f["name"] for f in document["shared"]["frames"]]
+            return [
+                (event["type"], names[event["frame"]])
+                for event in document["profiles"][0]["events"]
+            ]
+
+        assert nesting(target) == nesting(prof / "profile.speedscope.json")
+
     def test_export_speedscope_is_loadable(self, tmp_path, capsys):
         trace = tmp_path / "toy.jsonl"
         assert main(["toy", "--trace-out", str(trace)]) == 0

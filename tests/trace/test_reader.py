@@ -182,11 +182,12 @@ class TestSummaryFromSyntheticEvents:
         assert summary.per_seller[1]["rejected"] == 1
 
     def test_mwis_share_from_spans(self):
+        # Finish order, as the tracer writes them: the child first.
         events = [
-            {"event": "span", "name": "two_stage", "depth": 0, "parent": -1,
-             "wall_s": 2.0, "cpu_s": 2.0},
-            {"event": "span", "name": "stage1.mwis", "depth": 1, "parent": 0,
+            {"event": "span", "name": "stage1.mwis", "depth": 1,
              "wall_s": 0.5, "cpu_s": 0.5},
+            {"event": "span", "name": "two_stage", "depth": 0,
+             "wall_s": 2.0, "cpu_s": 2.0},
         ]
         summary = TraceReader(events).summary()
         assert summary.mwis_wall_s == pytest.approx(0.5)
