@@ -60,8 +60,6 @@ import dataclasses
 import sys
 from typing import Optional, Sequence, Tuple
 
-from repro.analysis.paper_figures import figure_spec
-from repro.analysis.reporting import format_experiment_rows, rows_to_csv
 from repro.core.stability import (
     is_nash_stable,
     is_pairwise_stable,
@@ -964,6 +962,9 @@ def _base_spec_from_args(args: argparse.Namespace) -> RunSpec:
 # Spec command renderers (each runs inside an entered Session)
 # ----------------------------------------------------------------------
 def _cmd_figure(session: Session) -> int:
+    from repro.analysis.paper_figures import figure_spec
+    from repro.analysis.reporting import format_experiment_rows, rows_to_csv
+
     spec = session.spec
     options = spec.engine.options
     figure = int(spec.command[3])

@@ -18,6 +18,11 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+try:
+    from scipy.spatial import cKDTree
+except ImportError:  # pragma: no cover - scipy is baked in
+    cKDTree = None
+
 from repro.errors import MarketConfigurationError
 from repro.interference.graph import InterferenceGraph, InterferenceMap
 
@@ -89,13 +94,11 @@ def sparse_disk_interference_graph(
         raise MarketConfigurationError(
             f"transmission_range must be positive, got {transmission_range}"
         )
-    try:
-        from scipy.spatial import cKDTree
-    except ImportError as exc:  # pragma: no cover - scipy is baked in
+    if cKDTree is None:  # pragma: no cover - scipy is baked in
         raise MarketConfigurationError(
             "sparse_disk_interference_graph requires scipy; use "
             "disk_interference_graph instead"
-        ) from exc
+        )
     points = _as_location_array(locations)
     n = points.shape[0]
     if n == 0:

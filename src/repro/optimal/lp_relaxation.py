@@ -19,8 +19,6 @@ from __future__ import annotations
 from typing import List, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import lil_matrix
 
 from repro.core.market import SpectrumMarket
 from repro.errors import SolverError
@@ -36,6 +34,9 @@ def lp_relaxation_bound(market: SpectrumMarket) -> float:
     reports failure (should not happen for well-formed markets: the LP is
     always feasible, e.g. ``x = 0``).
     """
+    from scipy.optimize import linprog
+    from scipy.sparse import lil_matrix
+
     num_buyers = market.num_buyers
     num_channels = market.num_channels
     num_vars = num_buyers * num_channels
